@@ -22,7 +22,7 @@ from .cluster import (
     hac_cluster,
     select_k,
 )
-from .critvals import gaussian_critical_value
+from .critvals import CriticalValue, gaussian_critical_value
 from .errors import (
     DegenerateCovarianceError,
     PanelFormatError,
@@ -30,7 +30,7 @@ from .errors import (
     QuantileError,
     SingularDesignError,
 )
-from .estimate import batched_designs, solve_mask
+from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, build_grid_application, build_grid_custom
 from .kernels import KERNEL_KINDS, SmoothingKernel
 from .lrv import COV_KERNEL_KINDS, HacConfig
@@ -138,11 +138,28 @@ def _hac_config(args) -> HacConfig:
     )
 
 
-def _load_panel(args) -> Panel:
+def _prepare(args) -> tuple[Panel, Grid, SmoothingKernel, CriticalValue]:
+    """Load (and demean) the panel, build the grid and the kernel, and get the
+    Gaussian critical value: the common start of test and cluster."""
     panel = panel_from_csv(args.input, args.layout)
     if not args.no_demean:
         panel = demean_units(panel)
-    return panel
+    panel.require_pairs()
+    grid = _build_grid(args, panel.n_time)
+    kernel = SmoothingKernel(args.kernel)
+    crit = gaussian_critical_value(
+        panel.n_time,
+        panel.n_units,
+        panel.n_covariates,
+        grid,
+        kernel,
+        args.B,
+        args.seed,
+        args.alpha,
+        n_workers=args.threads,
+        cache_path=args.crit_cache,
+    )
+    return panel, grid, kernel, crit
 
 
 def _result_payload(result: TestResult, panel: Panel, grid: Grid, args) -> dict:
@@ -207,14 +224,10 @@ def _write_rejections_csv(path: Path, result: TestResult) -> None:
             )
 
 
-def _emit_curves(out: Path, panel: Panel, grid: Grid, args) -> None:
+def _emit_curves(out: Path, panel: Panel, grid: Grid, kernel: SmoothingKernel) -> None:
     """Per-unit beta estimates over every gridpoint, for external plotting."""
-    kernel = SmoothingKernel(args.kernel)
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
-    ok = solve_mask(M)
-    beta = np.full((grid.n_points, panel.n_units, panel.n_covariates), np.nan)
-    if np.any(ok):
-        beta[ok] = np.linalg.solve(M[ok][:, None, :, :], a[ok][:, :, :, None])[..., 0]
+    beta = batched_beta(M, a, solve_mask(M))
     for i, label in enumerate(panel.unit_labels):
         path = out / f"curves_{label}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -229,22 +242,7 @@ def _emit_curves(out: Path, panel: Panel, grid: Grid, args) -> None:
 
 
 def cmd_test(args) -> int:
-    panel = _load_panel(args)
-    panel.require_pairs()
-    grid = _build_grid(args, panel.n_time)
-    kernel = SmoothingKernel(args.kernel)
-    crit = gaussian_critical_value(
-        panel.n_time,
-        panel.n_units,
-        panel.n_covariates,
-        grid,
-        kernel,
-        args.B,
-        args.seed,
-        args.alpha,
-        n_workers=args.threads,
-        cache_path=args.crit_cache,
-    )
+    panel, grid, kernel, crit = _prepare(args)
     result = run_test(
         panel, kernel, grid, _hac_config(args), args.alpha, crit, keep_minimal=True
     )
@@ -253,7 +251,7 @@ def cmd_test(args) -> int:
     _write_json(out / "result.json", _result_payload(result, panel, grid, args))
     _write_rejections_csv(out / "rejections.csv", result)
     if args.emit_plot_data:
-        _emit_curves(out, panel, grid, args)
+        _emit_curves(out, panel, grid, kernel)
     verdict = "rejected" if result.reject_global else "not rejected"
     print(
         f"global homogeneity {verdict}: psi_hat={result.psi_hat:.6g} vs "
@@ -266,22 +264,7 @@ def cmd_test(args) -> int:
 def cmd_cluster(args) -> int:
     if args.k is not None and args.k < 1:
         raise PanelFormatError(f"--k must be a positive integer, got {args.k}")
-    panel = _load_panel(args)
-    panel.require_pairs()
-    grid = _build_grid(args, panel.n_time)
-    kernel = SmoothingKernel(args.kernel)
-    crit = gaussian_critical_value(
-        panel.n_time,
-        panel.n_units,
-        panel.n_covariates,
-        grid,
-        kernel,
-        args.B,
-        args.seed,
-        args.alpha,
-        n_workers=args.threads,
-        cache_path=args.crit_cache,
-    )
+    panel, grid, kernel, crit = _prepare(args)
     normalizers = build_normalizers(panel, kernel, _hac_config(args))
     table = compute_stat_table(panel, kernel, grid, normalizers)
     d = dissimilarity_matrix(table)

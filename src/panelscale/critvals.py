@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +27,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .errors import QuantileError
 from .grid import Grid
-from .kernels import SmoothingKernel, lambda_correction, weights_matrix
+from .kernels import SmoothingKernel, lambda_corrections, weights_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +70,7 @@ def simulate_phi(
         raise ValueError("grid is empty")
     W = weights_matrix(kernel, T, grid.u, grid.h)
     scale = 1.0 / np.sqrt(T * grid.h)
-    lam = np.array([lambda_correction(h) for h in grid.h])
+    lam = lambda_corrections(grid.h)
     i_idx, j_idx = np.triu_indices(N, k=1)
 
     def one_draw(b: int) -> float:
@@ -151,12 +153,22 @@ def draws_cache_key(
 
 
 def save_draws(path, key: bytes, draws: np.ndarray) -> None:
+    """Write the draw cache through a temporary file in the same directory
+    that then replaces the target: readers never see a partial file, and a
+    failed write leaves the previous cache in place."""
     draws = np.asarray(draws, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(key)
-        fh.write(struct.pack("<Q", draws.size))
-        fh.write(draws.tobytes())
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=".pscv-", suffix=".tmp", dir=directory)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC)
+            fh.write(key)
+            fh.write(struct.pack("<Q", draws.size))
+            fh.write(draws.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_draws(path, key: bytes) -> np.ndarray | None:

@@ -3,6 +3,9 @@
 The design matrix M_XKX(u, h) = (1/sqrt(Th)) * sum_t X_t X_t' K((t/T-u)/h)
 carries the 1/sqrt(Th) scaling throughout: it cancels in the coefficient
 estimate but matters in the multiscale statistic.
+
+batched_designs, the guard solve_mask and the solve batched_beta are the one
+path; local_design, beta_hat and coefficient_curve wrap them.
 """
 
 from __future__ import annotations
@@ -10,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularDesignError
-from .kernels import SmoothingKernel, kernel_weights, weights_matrix
+from .kernels import SmoothingKernel, check_point, weights_matrix
 from .panel import CoefficientCurve, Panel
 
 COND_LIMIT = 1e12
@@ -35,38 +37,23 @@ class LocalDesign:
 
 def local_design(panel: Panel, kernel: SmoothingKernel, u: float, h: float) -> LocalDesign:
     """Compute M_XKX(u, h) and the per-unit response sums at (u, h)."""
-    T = panel.n_time
-    w = kernel_weights(kernel, T, u, h)
-    scale = 1.0 / np.sqrt(T * h)
-    xw = panel.x * w[:, None]
-    m = (xw.T @ panel.x) * scale
-    m = 0.5 * (m + m.T)
-    xky = (panel.y @ xw) * scale
-    return LocalDesign(u=u, h=h, m_xkx=m, xky=xky)
-
-
-def _check_spd(m: np.ndarray, u: float, h: float) -> np.ndarray:
-    eig = np.linalg.eigvalsh(m)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > COND_LIMIT:
-        raise SingularDesignError(
-            f"localized design at (u={u}, h={h}) is singular or ill-conditioned "
-            f"(eigenvalues {eig.min():.3e}..{eig.max():.3e})"
-        )
-    return eig
+    check_point(u, h)
+    M, a = batched_designs(panel, kernel, np.array([u]), np.array([h]))
+    return LocalDesign(u=u, h=h, m_xkx=M[0], xky=a[0])
 
 
 def beta_hat(design: LocalDesign, unit: int) -> np.ndarray:
     """Solve M_XKX beta = xky[unit]; raises SingularDesignError when the
     condition number exceeds 1e12."""
     m = design.m_xkx
-    _check_spd(m, design.u, design.h)
-    b = design.xky[unit]
-    try:
-        beta = cho_solve(cho_factor(m, lower=True), b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by _check_spd
+    ok = solve_mask(m[None])
+    if not ok[0]:
         raise SingularDesignError(
-            f"Cholesky failed at (u={design.u}, h={design.h}): {exc}"
-        ) from exc
+            f"localized design at (u={design.u}, h={design.h}) is singular or "
+            "ill-conditioned"
+        )
+    b = design.xky[unit]
+    beta = batched_beta(m[None], b[None, None], ok)[0, 0]
     resid = np.linalg.norm(m @ beta - b)
     scale = np.linalg.norm(m) * max(1.0, np.linalg.norm(beta))
     if resid > 1e-10 * max(scale, 1e-300):
@@ -134,3 +121,12 @@ def solve_mask(M: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         ok = (lo > 0.0) & (hi / np.where(lo > 0.0, lo, 1.0) <= COND_LIMIT)
     return ok
+
+
+def batched_beta(M: np.ndarray, a: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Coefficients beta[g, n] = M[g]^-1 a[g, n], shape (G, N, D); rows where
+    ~ok (the designs solve_mask rejects) are NaN and never solved."""
+    beta = np.full(a.shape, np.nan)
+    if np.any(ok):
+        beta[ok] = np.linalg.solve(M[ok][:, None, :, :], a[ok][:, :, :, None])[..., 0]
+    return beta

@@ -49,29 +49,34 @@ def kernel_eval(kernel: SmoothingKernel, z):
     return out if out.ndim else float(out)
 
 
+def check_point(u: float, h: float) -> None:
+    """Raise ValueError unless 0 < h < 1 and 0 <= u <= 1."""
+    if not 0.0 < h < 1.0:
+        raise ValueError(f"bandwidth h={h} outside (0, 1)")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"location u={u} outside [0, 1]")
+
+
 def kernel_weights(kernel: SmoothingKernel, T: int, u: float, h: float) -> np.ndarray:
     """Localizing weights K((t/T - u)/h) for t = 1..T.
 
     An all-zero vector signals an empty local window; callers decide how to
     react to it.
     """
-    if not 0.0 < h < 1.0:
-        raise ValueError(f"bandwidth h={h} outside (0, 1)")
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"location u={u} outside [0, 1]")
-    t = np.arange(1, T + 1, dtype=float)
-    # (t - uT)/(hT) rather than (t/T - u)/h: exact at support edges whenever
-    # u and h sit on the 1/T lattice, so grid windows never leak past [u-h, u+h]
-    return kernel_eval(kernel, (t - u * T) / (h * T))
+    check_point(u, h)
+    return weights_matrix(kernel, T, np.array([u]), np.array([h]))[0]
 
 
 def weights_matrix(
     kernel: SmoothingKernel, T: int, u: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
-    """Stack kernel_weights rows for many (u, h) points: shape (len(u), T)."""
+    """Kernel weights for many (u, h) points: row g is K((t/T - u_g)/h_g),
+    shape (len(u), T)."""
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     t = np.arange(1, T + 1, dtype=float)
+    # (t - uT)/(hT) rather than (t/T - u)/h: exact at support edges whenever
+    # u and h sit on the 1/T lattice, so grid windows never leak past [u-h, u+h]
     z = (t[None, :] - u[:, None] * T) / (h[:, None] * T)
     return kernel_eval(kernel, z)
 
@@ -81,3 +86,8 @@ def lambda_correction(h: float) -> float:
     if not 0.0 < h <= 0.5:
         raise ValueError(f"bandwidth h={h} outside (0, 1/2]")
     return math.sqrt(2.0 * math.log(1.0 / (2.0 * h)))
+
+
+def lambda_corrections(h) -> np.ndarray:
+    """lambda_correction for each bandwidth in h, e.g. one per gridpoint."""
+    return np.array([lambda_correction(x) for x in h])

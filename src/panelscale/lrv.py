@@ -6,8 +6,9 @@ kernel HAC formula
     Sigma_hat = T/(T-D) * sum_l kappa(l/chi) * Gamma_hat(l),
 
 with sample autocovariances Gamma_hat(l). Residuals come from a wide pilot
-local constant fit. The pairwise normalizer is the symmetric inverse square
-root of (Sigma_i + Sigma_j)/2.
+local constant fit. The pilot design depends only on X, so one pilot fit
+(one design build, one guard and one solve) serves all units. The pairwise
+normalizer is the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, SingularDesignError
-from .estimate import COND_LIMIT, batched_designs
+from .estimate import batched_beta, batched_designs, solve_mask
 from .kernels import SmoothingKernel
 from .panel import Panel
 
@@ -105,14 +106,10 @@ class LongRunCov:
         object.__setattr__(self, "sigma", sigma)
 
 
-def residual_series(
-    panel: Panel, kernel: SmoothingKernel, unit: int, h_pilot: float = 0.25
+def _pilot_residuals(
+    panel: Panel, kernel: SmoothingKernel, h_pilot: float
 ) -> np.ndarray:
-    """v_hat rows X_t * (Y_it - X_t' beta_hat_i(u_t, h_pilot)), u_t clamped
-    to [h_pilot, 1 - h_pilot].
-
-    h_pilot is snapped to the nearest 1/T lattice multiple.
-    """
+    """residual_series for every unit at once, shape (N, T, D)."""
     T = panel.n_time
     if not 0.0 < h_pilot <= 0.5:
         raise ValueError(f"pilot bandwidth {h_pilot} outside (0, 1/2]")
@@ -121,17 +118,25 @@ def residual_series(
     u_t = np.clip(t_over_T, h_eff, 1.0 - h_eff)
     uniq, inverse = np.unique(u_t, return_inverse=True)
     M, a = batched_designs(panel, kernel, uniq, np.full(uniq.shape, h_eff))
-    eig = np.linalg.eigvalsh(M)
-    bad = (eig[:, 0] <= 0.0) | (eig[:, -1] > COND_LIMIT * np.maximum(eig[:, 0], 1e-300))
-    if np.any(bad):
-        k = int(np.argmax(bad))
-        raise SingularDesignError(
-            f"pilot design singular at (u={uniq[k]}, h={h_eff}) for unit {unit}"
-        )
-    beta = np.linalg.solve(M, a[:, unit, :, None])[..., 0]
-    fitted = np.einsum("td,td->t", panel.x, beta[inverse])
-    eps = panel.y[unit] - fitted
-    return panel.x * eps[:, None]
+    ok = solve_mask(M)
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise SingularDesignError(f"pilot design singular at (u={uniq[k]}, h={h_eff})")
+    beta = batched_beta(M, a, ok)[inverse]  # (T, N, D)
+    fitted = np.einsum("td,tnd->nt", panel.x, beta)
+    eps = panel.y - fitted
+    return panel.x[None, :, :] * eps[:, :, None]
+
+
+def residual_series(
+    panel: Panel, kernel: SmoothingKernel, unit: int, h_pilot: float = 0.25
+) -> np.ndarray:
+    """v_hat rows X_t * (Y_it - X_t' beta_hat_i(u_t, h_pilot)), u_t clamped
+    to [h_pilot, 1 - h_pilot].
+
+    h_pilot is snapped to the nearest 1/T lattice multiple.
+    """
+    return _pilot_residuals(panel, kernel, h_pilot)[unit]
 
 
 def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
@@ -175,12 +180,8 @@ def long_run_covariances(
     panel: Panel, kernel: SmoothingKernel, config: HacConfig
 ) -> list[LongRunCov]:
     """Per-unit HAC estimates; with config.pooled the units share the average."""
-    per_unit = [
-        hac_estimate(
-            residual_series(panel, kernel, i, config.pilot_bandwidth), config, unit=i
-        )
-        for i in range(panel.n_units)
-    ]
+    v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
+    per_unit = [hac_estimate(v[i], config, unit=i) for i in range(panel.n_units)]
     if not config.pooled:
         return per_unit
     pooled = np.mean([c.sigma for c in per_unit], axis=0)

@@ -7,8 +7,8 @@ For a pair (i, j) and gridpoint (u, h) the local statistic is
 with Nrm_ij the inverse square root of the averaged long-run covariances.
 Algebraically this equals the kernel-sum form
 || Nrm_ij @ (1/sqrt(Th)) sum_t X_t (Y_it - Y_jt) K_t ||_inf, which needs no
-matrix inversion; gridpoints whose design fails the condition guard use it
-as a fallback and are recorded.
+matrix inversion; it is how the statistic is computed. Gridpoints whose
+design fails the condition guard are only recorded (fallback_points).
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import numpy as np
 
 from .critvals import CriticalValue
 from .errors import PanelFormatError
-from .estimate import batched_designs, solve_mask
+from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid
-from .kernels import SmoothingKernel, lambda_correction
+from .kernels import SmoothingKernel, lambda_corrections
 from .lrv import HacConfig, long_run_covariances, pair_normalizer
 from .panel import Panel
 
@@ -38,7 +38,8 @@ class LocalStatTable:
     """Local statistics for every (pair, gridpoint) plus the lambda penalty.
 
     s_hat has shape (n_pairs, n_points); fallback_points lists grid indices
-    where the singular-design fallback (kernel-sum form) was used.
+    whose design fails the condition guard, where only the kernel-sum form
+    of the statistic is defined.
     """
 
     grid: Grid
@@ -90,10 +91,6 @@ class TestResult:
     fallback_points: tuple[int, ...] = ()
 
 
-def grid_lambdas(grid: Grid) -> np.ndarray:
-    return np.array([lambda_correction(h) for h in grid.h])
-
-
 def build_normalizers(
     panel: Panel, kernel: SmoothingKernel, config: HacConfig
 ) -> np.ndarray:
@@ -112,8 +109,9 @@ def compute_stat_table(
 ) -> LocalStatTable:
     """Evaluate S_ij(u, h) for every pair and gridpoint.
 
-    Well-conditioned gridpoints use the estimator form M_XKX (beta_i - beta_j);
-    singular ones fall back to the direct kernel-sum form.
+    The statistic is the kernel-sum form, taken straight from the response
+    sums a; no design is inverted. solve_mask only diagnoses: gridpoints whose
+    design fails the guard are listed in fallback_points.
     """
     panel.require_pairs()
     pairs = unit_pairs(panel.n_units)
@@ -124,20 +122,15 @@ def compute_stat_table(
         )
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     ok = solve_mask(M)
-    row = a.copy()  # kernel-sum form: row[g, n] = a_i; exact under the identity
-    if np.any(ok):
-        beta = np.linalg.solve(M[ok][:, None, :, :], a[ok][:, :, :, None])[..., 0]
-        row[ok] = np.einsum("gde,gne->gnd", M[ok], beta)
-    i_idx = np.array([p[0] for p in pairs])
-    j_idx = np.array([p[1] for p in pairs])
-    diff = row[:, i_idx, :] - row[:, j_idx, :]  # (G, P, D)
+    i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
+    diff = a[:, i_idx, :] - a[:, j_idx, :]  # (G, P, D)
     scaled = np.einsum("pde,gpe->pgd", normalizers, diff)
     s_hat = np.abs(scaled).max(axis=2)
     return LocalStatTable(
         grid=grid,
         pairs=pairs,
         s_hat=s_hat,
-        lam=grid_lambdas(grid),
+        lam=lambda_corrections(grid.h),
         fallback_points=tuple(int(g) for g in np.nonzero(~ok)[0]),
     )
 
@@ -160,14 +153,13 @@ def local_stat(
     """
     if not 0 <= i < j < panel.n_units:
         raise PanelFormatError(f"need 0 <= i < j < N, got ({i}, {j})")
-    us = np.array([u])
-    hs = np.array([h])
-    M, a = batched_designs(panel, kernel, us, hs)
+    M, a = batched_designs(panel, kernel, np.array([u]), np.array([h]))
     direct = normalizer @ (a[0, i] - a[0, j])
     s_direct = float(np.abs(direct).max())
-    if not solve_mask(M)[0]:
+    ok = solve_mask(M)
+    if not ok[0]:
         return s_direct
-    beta = np.linalg.solve(M[0][None, :, :], a[0][:, :, None])[..., 0]
+    beta = batched_beta(M, a, ok)[0]
     est = normalizer @ (M[0] @ (beta[i] - beta[j]))
     s_est = float(np.abs(est).max())
     if cross_check and abs(s_est - s_direct) > IDENTITY_TOL * max(1.0, s_direct):

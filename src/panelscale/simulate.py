@@ -565,12 +565,11 @@ def run_cluster_experiment(
     truth = GroundTruth(curves=spec.curves, group_assignment=spec.group_assignment)
     target = truth.true_partition()
     seeds = _replication_seeds(spec.seed, R)
-    kernel_obj = kernel
 
     def one(seed: int) -> bool:
         panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
-        normalizers = build_normalizers(panel, kernel_obj, hac)
-        table = compute_stat_table(panel, kernel_obj, grid, normalizers)
+        normalizers = build_normalizers(panel, kernel, hac)
+        table = compute_stat_table(panel, kernel, grid, normalizers)
         d = dissimilarity_matrix(table)
         dendro = hac_cluster(d, "complete")
         result = select_k(dendro, d, crit.q)

@@ -62,6 +62,26 @@ def test_cmd_test_malformed_csv(tmp_path):
     assert main(["test", "--input", str(bad), "--out", str(tmp_path)] + FAST) == 2
 
 
+def test_cmd_test_singular_pilot_exits_3(tmp_path, capsys):
+    # second covariate is zero over the first pilot window [0, 0.5]
+    T = 100
+    rng = np.random.default_rng(12)
+    x2 = np.zeros(T)
+    x2[60:] = np.linspace(1.0, 2.0, T - 60)
+    panel = Panel(
+        y=rng.standard_normal((2, T)),
+        x=np.column_stack([np.ones(T), x2]),
+        unit_labels=("a", "b"),
+    )
+    path = tmp_path / "singular.csv"
+    panel_to_csv(panel, path, "long")
+    code = main(["test", "--input", str(path), "--out", str(tmp_path / "out")] + FAST)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical degeneracy" in err
+    assert "(u=0.25, h=0.25)" in err
+
+
 def test_cmd_test_missing_file(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["test", "--input", str(missing), "--out", str(tmp_path)] + FAST) == 2

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from panelscale import (
     gaussian_critical_value,
     simulate_phi,
 )
+from panelscale import critvals
 from panelscale.critvals import draws_cache_key, load_draws, save_draws
 from panelscale.kernels import lambda_correction
 
@@ -127,6 +129,25 @@ def test_draw_cache_roundtrip(tmp_path):
     other = draws_cache_key(100, 2, 1, grid, KERN, 200, 10)
     assert load_draws(path, other) is None
     assert load_draws(tmp_path / "missing.bin", key) is None
+
+
+def test_draw_cache_failed_write_keeps_previous_file(tmp_path, monkeypatch):
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 200, 9)
+    draws = simulate_phi(100, 2, 1, grid, KERN, 200, seed=9)
+    path = tmp_path / "draws.bin"
+    save_draws(path, key, draws)
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    # the header is packed after the magic and the key are written: midway
+    monkeypatch.setattr(critvals, "struct", types.SimpleNamespace(pack=fail))
+    with pytest.raises(OSError, match="disk full"):
+        save_draws(path, key, draws[::-1])
+    monkeypatch.undo()
+    np.testing.assert_array_equal(load_draws(path, key), draws)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
 
 
 def test_gaussian_critical_value_uses_cache(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from panelscale import (
     DegenerateCovarianceError,
+    SingularDesignError,
     HacConfig,
     LongRunCov,
     Panel,
@@ -157,6 +158,46 @@ def test_residuals_match_two_step_oracle():
         v = residual_series(panel, KERN, unit, 0.25)
         ref = oracles.naive_residual_rows(panel.x, panel.y, "epanechnikov", unit, 0.25)
         np.testing.assert_allclose(v, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        HacConfig(),
+        HacConfig(cov_kernel="quadratic_spectral", bandwidth=4.0, pilot_bandwidth=0.5),
+    ],
+)
+def test_covariances_match_per_unit_residual_series(config):
+    # the one batched pilot fit must give each unit exactly what the
+    # per-unit public path gives
+    rng = np.random.default_rng(11)
+    panel = Panel(
+        y=rng.standard_normal((4, 80)),
+        x=np.column_stack([np.ones(80), rng.standard_normal(80)]),
+        unit_labels=("a", "b", "c", "d"),
+    )
+    covs = long_run_covariances(panel, KERN, config)
+    for i in range(panel.n_units):
+        v = residual_series(panel, KERN, i, config.pilot_bandwidth)
+        np.testing.assert_array_equal(covs[i].sigma, hac_estimate(v, config).sigma)
+
+
+def partly_zero_panel(T=100):
+    # second covariate vanishes for t/T <= 0.6, so the first pilot window
+    # [0, 0.5] (h = 0.25) has a rank-one design
+    rng = np.random.default_rng(12)
+    x2 = np.zeros(T)
+    x2[60:] = np.linspace(1.0, 2.0, T - 60)
+    return Panel(
+        y=rng.standard_normal((2, T)),
+        x=np.column_stack([np.ones(T), x2]),
+        unit_labels=("a", "b"),
+    )
+
+
+def test_singular_pilot_names_the_point():
+    with pytest.raises(SingularDesignError, match=r"\(u=0\.25, h=0\.25\)"):
+        long_run_covariances(partly_zero_panel(), KERN, HacConfig(pilot_bandwidth=0.25))
 
 
 def test_pair_normalizer_identity():
