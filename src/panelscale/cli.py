@@ -95,7 +95,7 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--hac-kernel",
         choices=COV_KERNEL_KINDS,
-        default=_env_default("HAC_KERNEL", "bartlett", str),
+        default=_env_default("HAC_KERNEL", HacConfig.cov_kernel, str),
     )
     parser.add_argument(
         "--hac-bandwidth",
@@ -104,7 +104,9 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
         help="HAC bandwidth chi (default: floor(T^(1/3)))",
     )
     parser.add_argument(
-        "--pilot-h", type=float, default=_env_default("PILOT_H", 0.25, float)
+        "--pilot-h",
+        type=float,
+        default=_env_default("PILOT_H", HacConfig.pilot_bandwidth, float),
     )
     parser.add_argument("--pooled-lrv", action="store_true")
     parser.add_argument(

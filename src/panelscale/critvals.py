@@ -26,7 +26,7 @@ import numpy as np
 
 from ._parallel import ordered_map
 from .errors import QuantileError
-from .grid import Grid
+from .grid import Grid, check_grid_T
 from .kernels import SmoothingKernel, lambda_corrections, weights_matrix
 
 
@@ -68,6 +68,7 @@ def simulate_phi(
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     if grid.n_points == 0:
         raise ValueError("grid is empty")
+    check_grid_T(grid, T)
     W = weights_matrix(kernel, T, grid.u, grid.h)
     scale = 1.0 / np.sqrt(T * grid.h)
     lam = lambda_corrections(grid.h)
@@ -124,6 +125,7 @@ def gaussian_critical_value(
     cache_path=None,
 ) -> CriticalValue:
     """simulate_phi + critical_value, with optional draw caching."""
+    check_grid_T(grid, T)
     draws = None
     key = draws_cache_key(T, N, D, grid, kernel, B, seed)
     if cache_path is not None:

@@ -74,6 +74,12 @@ class Grid:
         return np.column_stack([self.u - self.h, self.u + self.h])
 
 
+def check_grid_T(grid: Grid, T: int) -> None:
+    """Raise ValueError unless grid was built for sample size T."""
+    if grid.T != T:
+        raise ValueError(f"grid was built for T={grid.T}, not T={T}")
+
+
 def _assemble(points: list[tuple[float, float]], T: int) -> Grid:
     if not points:
         raise GridError(f"grid construction produced no feasible points for T={T}")

@@ -20,7 +20,7 @@ import numpy as np
 from .critvals import CriticalValue
 from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
-from .grid import Grid
+from .grid import Grid, check_grid_T
 from .kernels import SmoothingKernel, lambda_corrections
 from .lrv import HacConfig, long_run_covariances, pair_normalizer
 from .panel import Panel
@@ -114,6 +114,7 @@ def compute_stat_table(
     design fails the guard are listed in fallback_points.
     """
     panel.require_pairs()
+    check_grid_T(grid, panel.n_time)
     pairs = unit_pairs(panel.n_units)
     normalizers = np.asarray(normalizers, dtype=float)
     if normalizers.shape != (len(pairs), panel.n_covariates, panel.n_covariates):

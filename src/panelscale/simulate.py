@@ -30,6 +30,9 @@ from .lrv import HacConfig
 from .multiscale import build_normalizers, compute_stat_table, run_test, unit_pairs
 from .panel import Panel
 
+# seed of the Gaussian draws behind the critical value every replication shares
+_CRIT_SEED = 1_234_567
+
 # ---------------------------------------------------------------------------
 # coefficient curves
 
@@ -226,13 +229,18 @@ class GroundTruth:
         return mask
 
     def true_partition(self) -> set[frozenset[int]]:
-        groups: dict[int, set[int]] = {}
         labels = self.group_assignment
         if labels is None:
             labels = _labels_from_curves(self.curves)
-        for i, g in enumerate(labels):
-            groups.setdefault(g, set()).add(i)
-        return {frozenset(v) for v in groups.values()}
+        return _partition(labels)
+
+
+def _partition(labels) -> set[frozenset[int]]:
+    """The groups of unit indices that share a label."""
+    groups: dict = {}
+    for i, g in enumerate(labels):
+        groups.setdefault(g, set()).add(i)
+    return {frozenset(v) for v in groups.values()}
 
 
 def _labels_from_curves(curves) -> tuple[int, ...]:
@@ -360,29 +368,42 @@ def _replication_seeds(base_seed: int, R: int) -> list[int]:
     ]
 
 
-def _experiment_grid(spec: DgpSpec, grid: Grid | None) -> Grid:
-    return grid if grid is not None else build_grid_application(spec.n_time)
+def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
+           B: int, alpha: float, crit_seed: int,
+           n_workers: int) -> tuple[float, Grid, CriticalValue]:
+    """Start the clock, validate R, default the grid and get the one Gaussian
+    critical value that every replication shares."""
+    start = time.perf_counter()
+    if R < 1:
+        raise ValueError(f"R={R} replications; need R >= 1")
+    if grid is None:
+        grid = build_grid_application(spec.n_time)
+    crit = gaussian_critical_value(
+        spec.n_time, spec.n_units, spec.n_covariates, grid, kernel, B, crit_seed,
+        alpha, n_workers=n_workers,
+    )
+    return start, grid, crit
 
 
-def _shared_crit(
-    spec: DgpSpec,
-    grid: Grid,
-    kernel: SmoothingKernel,
-    B: int,
-    alpha: float,
-    crit_seed: int,
-    n_workers: int,
-) -> CriticalValue:
-    return gaussian_critical_value(
-        spec.n_time,
-        spec.n_units,
-        spec.n_covariates,
-        grid,
-        kernel,
-        B,
-        crit_seed,
-        alpha,
-        n_workers=n_workers,
+def _replicate(spec: DgpSpec, R: int, n_workers: int, outcome) -> list:
+    """outcome(panel) for R panels drawn from spec, in replication order."""
+
+    def one(seed: int):
+        panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
+        return outcome(panel)
+
+    return ordered_map(one, _replication_seeds(spec.seed, R), n_workers)
+
+
+def _report(experiment: str, spec: DgpSpec, R: int, alpha: float, B: int,
+            start: float, crit: CriticalValue, extras: dict | None = None,
+            **rates) -> ExperimentReport:
+    """The report with the fields every experiment shares filled in; rates
+    holds the experiment's own result fields."""
+    return ExperimentReport(
+        experiment=experiment, replications=R, alpha=alpha, B=B, seed=spec.seed,
+        runtime_seconds=time.perf_counter() - start,
+        extras={"q_alpha": crit.q, **(extras or {})}, **rates,
     )
 
 
@@ -394,34 +415,21 @@ def run_size_experiment(
     grid: Grid | None = None,
     kernel: SmoothingKernel = SmoothingKernel(),
     hac: HacConfig = HacConfig(),
-    crit_seed: int = 1_234_567,
+    crit_seed: int = _CRIT_SEED,
     n_workers: int = 1,
 ) -> ExperimentReport:
     """Empirical rejection rate under a shared homogeneous coefficient curve."""
     if len(set(spec.curves)) != 1:
         raise ValueError("size experiment requires all units to share one curve")
-    start = time.perf_counter()
-    grid = _experiment_grid(spec, grid)
-    crit = _shared_crit(spec, grid, kernel, B, alpha, crit_seed, n_workers)
-    seeds = _replication_seeds(spec.seed, R)
+    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
 
-    def one(seed: int) -> bool:
-        panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
-        result = run_test(panel, kernel, grid, hac, alpha, crit)
-        return result.reject_global
+    def outcome(panel: Panel) -> bool:
+        return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
 
-    flags = ordered_map(one, seeds, n_workers)
-    rate = float(np.mean(flags))
-    return ExperimentReport(
-        experiment="size",
-        replications=R,
-        alpha=alpha,
-        B=B,
-        seed=spec.seed,
-        rejection_rate=rate,
-        rejection_se=binomial_se(rate, R),
-        runtime_seconds=time.perf_counter() - start,
-        extras={"q_alpha": crit.q},
+    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    return _report(
+        "size", spec, R, alpha, B, start, crit,
+        rejection_rate=rate, rejection_se=binomial_se(rate, R),
     )
 
 
@@ -441,59 +449,41 @@ def run_power_experiment(
     grid: Grid | None = None,
     kernel: SmoothingKernel = SmoothingKernel(),
     hac: HacConfig = HacConfig(),
-    crit_seed: int = 1_234_567,
+    crit_seed: int = _CRIT_SEED,
     n_workers: int = 1,
 ) -> ExperimentReport:
     """Rejection rate per signal scale; the deviating unit's Bump heights are
     multiplied by each scale. Also tracks how often the rejection list names a
     truly heterogeneous pair."""
-    start = time.perf_counter()
-    grid = _experiment_grid(spec, grid)
-    crit = _shared_crit(spec, grid, kernel, B, alpha, crit_seed, n_workers)
-    seeds = _replication_seeds(spec.seed, R)
-    curve_points = [(u - h, u + h) for u, h in grid.points]
+    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    pairs = unit_pairs(spec.n_units)
     power_curve = []
-    last_pair_rate = None
     for scale in scales:
         scaled = dataclasses.replace(
             spec, curves=tuple(_scale_bumps(tup, float(scale)) for tup in spec.curves)
         )
-        truth = GroundTruth(curves=scaled.curves)
-        pairs = unit_pairs(spec.n_units)
-        hetero = {
-            (i, j)
-            for i, j in pairs
-            if any(not truth.local_null_true(i, j, lo, hi) for lo, hi in curve_points)
-        }
+        m0 = GroundTruth(curves=scaled.curves).m0_mask(grid, pairs)
+        hetero = {pairs[p] for p in np.nonzero(~m0.all(axis=1))[0]}
 
-        def one(seed: int, scaled=scaled, hetero=hetero) -> tuple[bool, bool]:
-            panel, _ = generate_panel(dataclasses.replace(scaled, seed=seed))
+        def outcome(panel: Panel, hetero=hetero) -> tuple[bool, bool]:
             result = run_test(panel, kernel, grid, hac, alpha, crit)
             named = any((r.i, r.j) in hetero for r in result.rejections)
             return result.reject_global, named
 
-        outcomes = ordered_map(one, seeds, n_workers)
+        outcomes = _replicate(scaled, R, n_workers, outcome)
         rate = float(np.mean([o[0] for o in outcomes]))
-        pair_rate = float(np.mean([o[1] for o in outcomes]))
-        last_pair_rate = pair_rate
         power_curve.append(
             {
                 "signal_scale": float(scale),
                 "rejection_rate": rate,
                 "se": binomial_se(rate, R),
-                "planted_pair_rate": pair_rate,
+                "planted_pair_rate": float(np.mean([o[1] for o in outcomes])),
             }
         )
-    return ExperimentReport(
-        experiment="power",
-        replications=R,
-        alpha=alpha,
-        B=B,
-        seed=spec.seed,
+    return _report(
+        "power", spec, R, alpha, B, start, crit,
         power_curve=power_curve,
-        planted_pair_rate=last_pair_rate,
-        runtime_seconds=time.perf_counter() - start,
-        extras={"q_alpha": crit.q},
+        planted_pair_rate=power_curve[-1]["planted_pair_rate"] if power_curve else None,
     )
 
 
@@ -505,43 +495,25 @@ def run_fwer_experiment(
     grid: Grid | None = None,
     kernel: SmoothingKernel = SmoothingKernel(),
     hac: HacConfig = HacConfig(),
-    crit_seed: int = 1_234_567,
+    crit_seed: int = _CRIT_SEED,
     n_workers: int = 1,
 ) -> ExperimentReport:
     """Fraction of replications with at least one rejection of a TRUE local
     null, membership decided analytically from the curves."""
-    start = time.perf_counter()
-    grid = _experiment_grid(spec, grid)
-    crit = _shared_crit(spec, grid, kernel, B, alpha, crit_seed, n_workers)
+    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
     pairs = unit_pairs(spec.n_units)
-    truth = GroundTruth(curves=spec.curves)
-    m0 = truth.m0_mask(grid, pairs)
-    null_lookup = {
-        (pairs[p][0], pairs[p][1], grid.points[g]): bool(m0[p, g])
-        for p in range(len(pairs))
-        for g in range(grid.n_points)
-    }
-    seeds = _replication_seeds(spec.seed, R)
+    m0 = GroundTruth(curves=spec.curves).m0_mask(grid, pairs)
+    true_nulls = {(*pairs[p], grid.points[g]) for p, g in zip(*np.nonzero(m0))}
 
-    def one(seed: int) -> bool:
-        panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
+    def outcome(panel: Panel) -> bool:
         result = run_test(panel, kernel, grid, hac, alpha, crit)
-        return any(
-            null_lookup[(r.i, r.j, (r.u, r.h))] for r in result.rejections
-        )
+        return any((r.i, r.j, (r.u, r.h)) in true_nulls for r in result.rejections)
 
-    flags = ordered_map(one, seeds, n_workers)
-    rate = float(np.mean(flags))
-    return ExperimentReport(
-        experiment="fwer",
-        replications=R,
-        alpha=alpha,
-        B=B,
-        seed=spec.seed,
-        fwer_estimate=rate,
-        fwer_se=binomial_se(rate, R),
-        runtime_seconds=time.perf_counter() - start,
-        extras={"q_alpha": crit.q, "n_true_nulls": int(m0.sum())},
+    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    return _report(
+        "fwer", spec, R, alpha, B, start, crit,
+        extras={"n_true_nulls": int(m0.sum())},
+        fwer_estimate=rate, fwer_se=binomial_se(rate, R),
     )
 
 
@@ -553,44 +525,27 @@ def run_cluster_experiment(
     grid: Grid | None = None,
     kernel: SmoothingKernel = SmoothingKernel(),
     hac: HacConfig = HacConfig(),
-    crit_seed: int = 1_234_567,
+    crit_seed: int = _CRIT_SEED,
     n_workers: int = 1,
 ) -> ExperimentReport:
     """Rate of exact group recovery (K_hat == K0 and partitions identical)."""
     if spec.group_assignment is None:
         raise ValueError("cluster experiment requires group_assignment ground truth")
-    start = time.perf_counter()
-    grid = _experiment_grid(spec, grid)
-    crit = _shared_crit(spec, grid, kernel, B, alpha, crit_seed, n_workers)
-    truth = GroundTruth(curves=spec.curves, group_assignment=spec.group_assignment)
-    target = truth.true_partition()
-    seeds = _replication_seeds(spec.seed, R)
+    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    target = _partition(spec.group_assignment)
 
-    def one(seed: int) -> bool:
-        panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
+    def outcome(panel: Panel) -> bool:
         normalizers = build_normalizers(panel, kernel, hac)
         table = compute_stat_table(panel, kernel, grid, normalizers)
         d = dissimilarity_matrix(table)
-        dendro = hac_cluster(d, "complete")
-        result = select_k(dendro, d, crit.q)
-        got = {
-            frozenset(np.nonzero(np.array(result.membership) == lab)[0].tolist())
-            for lab in set(result.membership)
-        }
-        return got == target
+        result = select_k(hac_cluster(d, "complete"), d, crit.q)
+        return _partition(result.membership) == target
 
-    flags = ordered_map(one, seeds, n_workers)
-    rate = float(np.mean(flags))
-    return ExperimentReport(
-        experiment="cluster",
-        replications=R,
-        alpha=alpha,
-        B=B,
-        seed=spec.seed,
-        cluster_recovery_rate=rate,
-        cluster_recovery_se=binomial_se(rate, R),
-        runtime_seconds=time.perf_counter() - start,
-        extras={"q_alpha": crit.q, "k_true": len(target)},
+    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    return _report(
+        "cluster", spec, R, alpha, B, start, crit,
+        extras={"k_true": len(target)},
+        cluster_recovery_rate=rate, cluster_recovery_se=binomial_se(rate, R),
     )
 
 
@@ -750,6 +705,11 @@ def load_experiment_config(path) -> dict:
 def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
     """Run the experiment described by a parsed config dictionary."""
     kind = cfg["experiment"]
+    if kind in ("fwer", "cluster") and "N" in cfg:
+        raise ValueError(
+            f"the {kind} design fixes the number of units "
+            "(fwer: 5, cluster: 3 + 3); remove the key 'N'"
+        )
     T = int(cfg.get("T", 300))
     D = int(cfg.get("D", 2))
     N = int(cfg.get("N", 5))
@@ -757,13 +717,13 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
     B = int(cfg.get("B", 1000))
     alpha = float(cfg.get("alpha", 0.05))
     seed = int(cfg.get("seed", 0))
-    crit_seed = int(cfg.get("crit_seed", 1_234_567))
+    crit_seed = int(cfg.get("crit_seed", _CRIT_SEED))
     ar_coef = float(cfg.get("ar_coef", 0.3))
     noise_sd = float(cfg.get("noise_sd", 1.0))
     hac = HacConfig(
-        cov_kernel=cfg.get("hac_kernel", "bartlett"),
+        cov_kernel=cfg.get("hac_kernel", HacConfig.cov_kernel),
         bandwidth=cfg.get("hac_bandwidth"),
-        pilot_bandwidth=float(cfg.get("pilot_h", 0.25)),
+        pilot_bandwidth=float(cfg.get("pilot_h", HacConfig.pilot_bandwidth)),
         pooled=bool(cfg.get("pooled_lrv", 0)),
     )
     grid = build_grid_application(T)

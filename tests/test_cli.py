@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from panelscale import Panel, generate_panel, homogeneous_spec, panel_to_csv
+from panelscale import HacConfig, Panel, generate_panel, homogeneous_spec, panel_to_csv
 from panelscale.cli import main
 from panelscale.schemas import RESULT_SCHEMA
 
@@ -189,24 +189,71 @@ def test_cmd_simulate_smoke(tmp_path):
     assert (out / "report.csv").exists()
 
 
-def test_cmd_simulate_reproducible_bytes(tmp_path):
+SIM_TINY = "T = 100\nD = 1\nB = 120\nalpha = 0.5\nseed = 4\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        "experiment = size\nN = 2\nR = 3\n",
+        "experiment = power\nN = 2\nR = 6\nscales = 0.0,1.0\n",
+        "experiment = fwer\nR = 6\n",
+        "experiment = cluster\nR = 6\n",
+    ],
+    ids=["size", "power", "fwer", "cluster"],
+)
+def test_cmd_simulate_reproducible_bytes(tmp_path, config):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "experiment = size\nT = 100\nN = 2\nD = 1\nR = 3\nB = 120\n"
-        "alpha = 0.5\nseed = 4\n"
-    )
+    cfg.write_text(config + SIM_TINY)
     blobs = []
-    for run in range(2):
-        out = tmp_path / f"out{run}"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(argv + ["--threads", threads]) == 0
         blobs.append((out / "report.json").read_bytes())
     assert blobs[0] == blobs[1]
 
 
-def test_cmd_simulate_invalid_config(tmp_path):
+@pytest.mark.parametrize(
+    "config",
+    [
+        "experiment = warp\n",
+        "experiment = size\nN = 2\nR = 0\n" + SIM_TINY,
+        "experiment = size\nN = 2\nR = -3\n" + SIM_TINY,
+        "experiment = fwer\nN = 20\nR = 2\n" + SIM_TINY,
+        "experiment = cluster\nN = 20\nR = 2\n" + SIM_TINY,
+    ],
+    ids=["warp", "R0", "R-3", "fwer-N", "cluster-N"],
+)
+def test_cmd_simulate_invalid_config(tmp_path, config):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("experiment = warp\n")
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_hac_defaults_come_from_hac_config(monkeypatch):
+    from dataclasses import dataclass
+
+    from panelscale import cli, simulate
+
+    @dataclass(frozen=True)
+    class OtherDefaults(HacConfig):
+        cov_kernel: str = "parzen"
+        pilot_bandwidth: float = 0.4
+
+    monkeypatch.setattr(cli, "HacConfig", OtherDefaults)
+    args = cli.build_parser().parse_args(["test", "--input", "x.csv"])
+    assert (args.hac_kernel, args.pilot_h) == ("parzen", 0.4)
+
+    seen = {}
+    monkeypatch.setattr(simulate, "HacConfig", OtherDefaults)
+    monkeypatch.setattr(
+        simulate, "run_size_experiment", lambda spec, **kw: seen.update(kw)
+    )
+    simulate.run_from_config({"experiment": "size", "T": 100})
+    assert seen["hac"] == OtherDefaults()
 
 
 def test_cmd_preprocess_roundtrip(tmp_path):

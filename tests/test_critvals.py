@@ -67,6 +67,17 @@ def test_simulate_phi_requires_minimum_draws():
         simulate_phi(100, 2, 1, single_point_grid(), KERN, 50, seed=1)
 
 
+def test_grid_for_another_T_rejected(tmp_path):
+    grid = build_grid_custom(300, 30, [0.25])
+    with pytest.raises(ValueError, match=r"T=300, not T=200"):
+        simulate_phi(200, 2, 1, grid, KERN, 100, seed=1)
+    with pytest.raises(ValueError, match=r"T=300, not T=200"):
+        gaussian_critical_value(
+            200, 2, 1, grid, KERN, 100, 1, 0.1, cache_path=tmp_path / "draws.bin"
+        )
+    assert not (tmp_path / "draws.bin").exists()
+
+
 def test_critical_value_order_statistic():
     cv = critical_value(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), alpha=0.2)
     assert cv.q == 4.0

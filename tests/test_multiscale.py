@@ -216,6 +216,14 @@ def test_run_test_result_invariants():
     assert ex == sorted(ex, reverse=True)
 
 
+def test_grid_for_another_T_rejected():
+    rng = np.random.default_rng(5)
+    panel = random_panel(rng, N=2, T=200, D=1)
+    grid = build_grid_custom(300, 30, [0.25])
+    with pytest.raises(ValueError, match=r"T=300, not T=200"):
+        compute_stat_table(panel, KERN, grid, eye_normalizers(2, 1))
+
+
 def test_run_test_alpha_mismatch_rejected():
     rng = np.random.default_rng(10)
     panel = random_panel(rng, N=2, T=64, D=2)
