@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularDesignError
-from .kernels import SmoothingKernel, check_point, weights_matrix
+from .kernels import SmoothingKernel, check_point, weights_matrix, window_sums
 from .panel import CoefficientCurve, Panel
 
 COND_LIMIT = 1e12
@@ -102,15 +102,18 @@ def batched_designs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized designs over many points: M (G, D, D) and sums a (G, N, D).
 
-    Contractions deliberately use non-optimized einsum so the arithmetic is
-    identical regardless of BLAS threading.
+    Both are window_sums contractions, whose arithmetic does not depend on
+    BLAS threading. The response sums take one product per unit, so units
+    with equal responses get equal sums and cancel exactly in a pair.
     """
-    T = panel.n_time
+    x, y = panel.x, panel.y
+    T, D = x.shape
     W = weights_matrix(kernel, T, us, hs)
-    scale = 1.0 / np.sqrt(T * np.asarray(hs, dtype=float))
-    M = np.einsum("gt,td,te->gde", W, panel.x, panel.x) * scale[:, None, None]
+    scale = (1.0 / np.sqrt(T * np.asarray(hs, dtype=float)))[:, None, None]
+    M = window_sums(W, (x[:, :, None] * x[:, None, :]).reshape(T, D * D))
+    M = M.reshape(-1, D, D) * scale
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    a = np.einsum("gt,td,nt->gnd", W, panel.x, panel.y) * scale[:, None, None]
+    a = window_sums(W, y[:, :, None] * x[None, :, :]).transpose(1, 0, 2) * scale
     return M, a
 
 

@@ -81,6 +81,33 @@ def weights_matrix(
     return kernel_eval(kernel, z)
 
 
+WINDOW_BLOCK = 256
+
+
+def window_sums(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Kernel-weighted sums over time, W (G, T) @ Z (..., T, C), shape
+    (..., G, C); a stack of Z matrices gives one product per matrix.
+
+    The product is one GEMM per block of at most WINDOW_BLOCK periods, and
+    the blocks are added in order. A single GEMM over T >= 500 periods gives
+    different bits under 1 and 2 OpenBLAS (0.3.31) threads; blocks of at most
+    256 periods gave the same bits under 1, 2 and 3 threads, so the sums do
+    not depend on BLAS threading. A one-column Z would take numpy's
+    matrix-vector path, which is not thread-stable, so it gets a zero column.
+    GEMMs round a column by its position, so equal columns of one Z need not
+    give equal sums; equal matrices of a stack always do.
+    """
+    if Z.shape[-1] == 1:
+        padded = np.concatenate([Z, np.zeros_like(Z)], axis=-1)
+        return window_sums(W, padded)[..., :1]
+    T = W.shape[1]
+    out = W[:, :WINDOW_BLOCK] @ Z[..., :WINDOW_BLOCK, :]
+    for start in range(WINDOW_BLOCK, T, WINDOW_BLOCK):
+        stop = start + WINDOW_BLOCK
+        out += W[:, start:stop] @ Z[..., start:stop, :]
+    return out
+
+
 def lambda_correction(h: float) -> float:
     """Additive multiple-testing penalty sqrt(2 log(1/(2h))) for scale h."""
     if not 0.0 < h <= 0.5:

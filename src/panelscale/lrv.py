@@ -99,11 +99,14 @@ class LongRunCov:
         if not np.allclose(sigma, sigma.T, atol=1e-10 * max(1.0, np.abs(sigma).max())):
             raise ValueError("sigma must be symmetric")
         floor = -1e-10 * max(1.0, float(np.trace(sigma)) / sigma.shape[0])
-        if np.linalg.eigvalsh(sigma)[0] < floor:
+        min_eig = float(np.linalg.eigvalsh(sigma)[0])
+        if min_eig < floor:
             raise ValueError("sigma must be positive semi-definite")
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
+        # read by pair_normalizer's degeneracy check, once per pair
+        object.__setattr__(self, "_min_eig", min_eig)
 
 
 def _pilot_residuals(
@@ -210,7 +213,7 @@ def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
         raise ValueError(f"{pair}: dimension mismatch")
     for cov in (sig_i, sig_j):
         thresh = 1e-8 * float(np.trace(cov.sigma)) / D
-        if np.linalg.eigvalsh(cov.sigma)[0] <= thresh:
+        if cov._min_eig <= thresh:
             raise DegenerateCovarianceError(
                 f"{pair}: covariance of unit {cov.unit} is degenerate"
             )

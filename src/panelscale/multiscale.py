@@ -126,7 +126,8 @@ def compute_stat_table(
     i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
     diff = a[:, i_idx, :] - a[:, j_idx, :]  # (G, P, D)
     scaled = np.einsum("pde,gpe->pgd", normalizers, diff)
-    s_hat = np.abs(scaled).max(axis=2)
+    del diff  # free it before the next temporary: keeps peak memory down
+    s_hat = np.abs(scaled, out=scaled).max(axis=2)
     return LocalStatTable(
         grid=grid,
         pairs=pairs,

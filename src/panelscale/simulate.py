@@ -253,12 +253,13 @@ def _labels_from_curves(curves) -> tuple[int, ...]:
 
 def _ar1(rng: np.random.Generator, n: int, coef: float, stationary_sd: float) -> np.ndarray:
     innov_sd = stationary_sd * np.sqrt(1.0 - coef * coef)
-    out = np.empty(n)
-    out[0] = rng.standard_normal() * stationary_sd
+    prev = float(rng.standard_normal() * stationary_sd)
     shocks = rng.standard_normal(n - 1) * innov_sd
-    for t in range(1, n):
-        out[t] = coef * out[t - 1] + shocks[t - 1]
-    return out
+    out = [prev]
+    for shock in shocks.tolist():  # Python floats: no numpy scalar per step
+        prev = coef * prev + shock
+        out.append(prev)
+    return np.array(out)
 
 
 def generate_panel(spec: DgpSpec) -> tuple[Panel, GroundTruth]:

@@ -132,6 +132,46 @@ def naive_residual_rows(x, y, kind, unit, h_pilot):
     return np.array(rows)
 
 
+def naive_gaussian_draws(T, N, D, us, hs, kind, B, seed) -> np.ndarray:
+    """Phi draws one at a time: draw b's Z from the Philox stream jumped b
+    times, one einsum over every period, then the max over all unit pairs."""
+    W = np.array([naive_weights(kind, T, u, h) for u, h in zip(us, hs)])
+    scale = 1.0 / np.sqrt(T * np.asarray(hs, dtype=float))
+    lam = np.array([math.sqrt(2.0 * math.log(1.0 / (2.0 * h))) for h in hs])
+    i_idx, j_idx = np.triu_indices(N, k=1)
+    draws = []
+    for b in range(B):
+        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
+        z = gen.standard_normal((N, T, D))
+        sums = np.einsum("gt,ntd->ngd", W, z) * scale[None, :, None]
+        s = np.abs(sums[i_idx] - sums[j_idx]).max(axis=2)
+        draws.append(float((s - lam[None, :]).max()))
+    return np.array(draws)
+
+
+def naive_pair_gap(sums) -> np.ndarray:
+    """max over unit pairs i < j of |S_i - S_j| for sums (G, N, C), by a
+    scan over every pair."""
+    G, N, C = sums.shape
+    out = np.full((G, C), -np.inf)
+    for i in range(N):
+        for j in range(i + 1, N):
+            out = np.maximum(out, np.abs(sums[:, i] - sums[:, j]))
+    return out
+
+
+def naive_ar1(rng, n: int, coef: float, stationary_sd: float) -> np.ndarray:
+    """AR(1) path stepped with numpy scalar indexing; the same generator
+    calls in the same order as the package's generator."""
+    innov_sd = stationary_sd * np.sqrt(1.0 - coef * coef)
+    out = np.empty(n)
+    out[0] = rng.standard_normal() * stationary_sd
+    shocks = rng.standard_normal(n - 1) * innov_sd
+    for t in range(1, n):
+        out[t] = coef * out[t - 1] + shocks[t - 1]
+    return out
+
+
 def naive_quantile_ceiling(draws, alpha: float) -> float:
     """Order statistic #ceil((1-alpha) B), counted by hand."""
     data = sorted(float(d) for d in draws)

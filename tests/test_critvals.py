@@ -1,15 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panelscale
 from panelscale import (
     QuantileError,
     SmoothingKernel,
+    build_grid_application,
     build_grid_custom,
     critical_value,
     gaussian_critical_value,
+    generate_panel,
+    panel_to_csv,
+    planted_bump_spec,
     simulate_phi,
 )
 from panelscale import critvals
@@ -60,6 +69,67 @@ def test_simulate_phi_worker_invariance():
     a = simulate_phi(100, 3, 2, grid, KERN, 150, seed=5, n_workers=1)
     b = simulate_phi(100, 3, 2, grid, KERN, 150, seed=5, n_workers=8)
     np.testing.assert_array_equal(a, b)
+
+
+def test_simulate_phi_prefix_independent_of_B():
+    # N=3, D=2 blocks 21 draws, so draws 84..99 sit in a short last block
+    # at B=100 and in a full one at B=130
+    grid = build_grid_custom(100, 10, [0.22, 0.25])
+    short = simulate_phi(100, 3, 2, grid, KERN, 100, seed=4)
+    longer = simulate_phi(100, 3, 2, grid, KERN, 130, seed=4)
+    np.testing.assert_array_equal(longer[:100], short)
+
+
+def test_pair_range_equals_pair_max():
+    rng = np.random.default_rng(12)
+    for N in (2, 3, 7):
+        sums = rng.standard_normal((9, N, 11)) * 10.0 ** rng.integers(-3, 4, (9, N, 11))
+        sums[0, 1] = sums[0, 0]  # ties
+        np.testing.assert_array_equal(
+            critvals._max_pair_gap(sums), oracles.naive_pair_gap(sums)
+        )
+
+
+@pytest.mark.parametrize("T,grid", [
+    (100, build_grid_custom(100, 10, [0.22, 0.25])),
+    # over 256 periods: two blocks of window sums
+    (300, build_grid_application(300)),
+])
+def test_draws_match_per_draw_einsum(T, grid):
+    got = simulate_phi(T, 3, 2, grid, KERN, 100, seed=8, n_workers=2)
+    ref = oracles.naive_gaussian_draws(T, 3, 2, grid.u, grid.h, KERN.kind, 100, 8)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+def test_outputs_identical_across_blas_threads(tmp_path):
+    # a single GEMM over all T=500 periods rounds differently under 1 and 2
+    # OpenBLAS threads; the blocked window sums must not
+    spec = planted_bump_spec(
+        N=4, T=500, D=2, seed=5, center=0.5, width=0.3, height=1.5
+    )
+    panel, _ = generate_panel(spec)
+    src = tmp_path / "panel.csv"
+    panel_to_csv(panel, src, "long")
+    package_root = str(Path(panelscale.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        subprocess.run(
+            [sys.executable, "-m", "panelscale.cli", "test", "--input", str(src),
+             "--out", str(out), "--B", "100", "--seed", "3", "--emit-plot-data",
+             "--crit-cache", str(tmp_path / f"draws{threads}.bin")],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        # the cold cache holds every draw, not only the one q_alpha reports
+        files["draws.bin"] = (tmp_path / f"draws{threads}.bin").read_bytes()
+        outputs.append(files)
+    assert {"result.json", "curves_u1.csv"} <= set(outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_simulate_phi_requires_minimum_draws():
@@ -169,6 +239,25 @@ def test_gaussian_critical_value_uses_cache(tmp_path):
     cv2 = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
     assert cv1.q == cv2.q
     np.testing.assert_array_equal(cv1.phi_draws, cv2.phi_draws)
+
+
+def test_cache_of_older_format_recomputed(tmp_path):
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    path = tmp_path / "cache.bin"
+    stale = np.full(150, 7.0)
+    save_draws(path, key, stale)
+    blob = path.read_bytes()
+    assert blob.startswith(critvals._CACHE_MAGIC) and critvals._CACHE_MAGIC != b"PSCV\x01"
+    # the same file as the previous format wrote it: old magic, matching key
+    path.write_bytes(b"PSCV\x01" + blob[len(critvals._CACHE_MAGIC):])
+    assert load_draws(path, key) is None
+    cv = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
+    assert path.read_bytes().startswith(critvals._CACHE_MAGIC)
+    np.testing.assert_array_equal(load_draws(path, key), cv.phi_draws)
+    np.testing.assert_array_equal(
+        cv.phi_draws, simulate_phi(100, 2, 1, grid, KERN, 150, seed=3)
+    )
 
 
 def test_pivotality_signature():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panelscale import SmoothingKernel, kernel_eval, kernel_weights, lambda_correction
-from panelscale.kernels import KERNEL_KINDS, weights_matrix
+from panelscale.kernels import KERNEL_KINDS, weights_matrix, window_sums
 
 import oracles
 
@@ -84,6 +84,28 @@ def test_weights_matrix_rows_match_single_calls():
     W = weights_matrix(k, 37, us, hs)
     for row, (u, h) in zip(W, zip(us, hs)):
         np.testing.assert_array_equal(row, kernel_weights(k, 37, u, h))
+
+
+@pytest.mark.parametrize("shape", [(600, 5), (600, 1), (3, 600, 2), (3, 600, 1)])
+def test_window_sums_match_one_product(shape):
+    # 600 periods: blocks of 256, 256 and 88
+    rng = np.random.default_rng(13)
+    W = rng.random((7, 600))
+    Z = rng.standard_normal(shape)
+    got = window_sums(W, Z)
+    assert got.shape == shape[:-2] + (7, shape[-1])
+    np.testing.assert_allclose(got, W @ Z, rtol=0.0, atol=1e-12)
+
+
+def test_window_sums_equal_stack_members_agree():
+    # one GEMM may round equal columns differently by position; equal
+    # matrices of a stack must come out equal
+    rng = np.random.default_rng(14)
+    W = rng.random((20, 300))
+    z = rng.standard_normal((300, 2))
+    got = window_sums(W, np.stack([z] * 5))
+    for member in got[1:]:
+        np.testing.assert_array_equal(member, got[0])
 
 
 def test_weights_lipschitz_in_u():

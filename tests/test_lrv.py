@@ -8,11 +8,14 @@ from panelscale import (
     LongRunCov,
     Panel,
     SmoothingKernel,
+    generate_panel,
     hac_estimate,
+    homogeneous_spec,
     pair_normalizer,
     residual_series,
 )
 from panelscale.lrv import cov_kernel_weight, default_hac_bandwidth, long_run_covariances
+from panelscale.multiscale import build_normalizers, unit_pairs
 
 import oracles
 
@@ -251,3 +254,44 @@ def test_pooled_covariances_shared():
         pooled[0].sigma, np.mean([c.sigma for c in per_unit], axis=0), atol=1e-14
     )
     np.testing.assert_array_equal(pooled[0].sigma, pooled[2].sigma)
+
+
+def per_pair_eig_normalizer(sig_i, sig_j):
+    """pair_normalizer as it was when each pair recomputed both units'
+    smallest eigenvalue; the reference for the cached one."""
+    D = sig_i.sigma.shape[0]
+    for cov in (sig_i, sig_j):
+        thresh = 1e-8 * float(np.trace(cov.sigma)) / D
+        if np.linalg.eigvalsh(cov.sigma)[0] <= thresh:
+            raise DegenerateCovarianceError(f"unit {cov.unit} is degenerate")
+    sigma = 0.5 * (sig_i.sigma + sig_j.sigma)
+    trace = float(np.trace(sigma))
+    sigma = sigma + (1e-10 * trace / D) * np.eye(D)
+    vals, vecs = np.linalg.eigh(sigma)
+    return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+@pytest.mark.parametrize("N,T,D", [(5, 300, 2), (20, 300, 2), (50, 500, 3)])
+def test_normalizers_bit_identical_to_per_pair_eigenvalues(N, T, D):
+    panel, _ = generate_panel(homogeneous_spec(N, T, D, seed=N))
+    covs = long_run_covariances(panel, KERN, HacConfig())
+    for cov in covs:
+        assert cov._min_eig == np.linalg.eigvalsh(cov.sigma)[0]
+    got = build_normalizers(panel, KERN, HacConfig())
+    ref = [per_pair_eig_normalizer(covs[i], covs[j]) for i, j in unit_pairs(N)]
+    np.testing.assert_array_equal(got, np.array(ref))
+
+
+def test_degenerate_unit_error_unchanged():
+    good = LongRunCov(unit=0, sigma=np.eye(2))
+    flat = LongRunCov(unit=3, sigma=np.diag([1.0, 1e-12]))
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=r"^pair \(0, 3\): covariance of unit 3 is degenerate$",
+    ):
+        pair_normalizer(good, flat)
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=r"^pair \(3, 0\): covariance of unit 3 is degenerate$",
+    ):
+        pair_normalizer(flat, good)

@@ -21,11 +21,14 @@ from panelscale import (
     separation_height,
     two_group_spec,
 )
+from panelscale import simulate
 from panelscale.simulate import (
     curves_equal_on,
     load_experiment_config,
     run_from_config,
 )
+
+import oracles
 
 
 def test_bump_shape():
@@ -254,3 +257,16 @@ def test_run_from_config_smoke(tmp_path):
     rep = run_from_config(cfg)
     assert rep.replications == 2
     assert rep.rejection_rate in (0.0, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("ar_coef", [0.3, 0.0])
+def test_generate_panel_matches_numpy_scalar_ar1(monkeypatch, ar_coef):
+    spec = dataclasses.replace(
+        homogeneous_spec(4, 300, 3, seed=21), ar_coef=ar_coef
+    )
+    assert spec.covariate_model == "intercept_plus_ar1"
+    panel, _ = generate_panel(spec)
+    monkeypatch.setattr(simulate, "_ar1", oracles.naive_ar1)
+    ref, _ = generate_panel(spec)
+    np.testing.assert_array_equal(panel.x, ref.x)
+    np.testing.assert_array_equal(panel.y, ref.y)
