@@ -28,6 +28,8 @@ class Dissimilarity:
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"dissimilarity must be square, got {d.shape}")
+        if not np.isfinite(d).all():
+            raise ValueError("dissimilarity must be finite")
         if not np.array_equal(d, d.T):
             raise ValueError("dissimilarity must be exactly symmetric")
         if np.any(np.diag(d) != 0.0):
@@ -78,18 +80,16 @@ def dissimilarity_matrix(table: LocalStatTable) -> Dissimilarity:
     return Dissimilarity(d=d)
 
 
-def _linkage_distance(d: np.ndarray, a: tuple[int, ...], b: tuple[int, ...], linkage: str) -> float:
-    block = d[np.ix_(a, b)]
-    if linkage == "complete":
-        return float(block.max())
-    if linkage == "single":
-        return float(block.min())
-    return float(block.mean())
+_COMBINE = {"complete": np.maximum, "single": np.minimum, "average": np.add}
 
 
 def hac_cluster(d: Dissimilarity, linkage: str = "complete") -> tuple[Merge, ...]:
-    """Naive agglomerative merge sequence with deterministic tie-breaking.
+    """Agglomerative merge sequence with deterministic tie-breaking.
 
+    One matrix holds the cross-cluster max (complete), min (single) or sum
+    (average) of d, and a merge combines two of its rows (Lance-Williams).
+    Average linkage divides the sum by the block size only when comparing,
+    so averages equal as fractions of the same sums stay equal as floats.
     Ties are broken by the lexicographically smallest (cluster, cluster) pair,
     comparing sorted member tuples.
     """
@@ -98,22 +98,24 @@ def hac_cluster(d: Dissimilarity, linkage: str = "complete") -> tuple[Merge, ...
     n = d.n_units
     if n < 2:
         raise PanelFormatError("clustering requires at least two units")
-    clusters: list[tuple[int, ...]] = [(i,) for i in range(n)]
+    combine = _COMBINE[linkage]
+    # d is finite, so inf marks the diagonal and retired slots unambiguously
+    agg = d.d.copy()
+    np.fill_diagonal(agg, np.inf)
+    size = np.ones(n)
+    members: list[tuple[int, ...]] = [(i,) for i in range(n)]
     merges: list[Merge] = []
-    while len(clusters) > 1:
-        best = None
-        for ai in range(len(clusters)):
-            for bi in range(ai + 1, len(clusters)):
-                a, b = clusters[ai], clusters[bi]
-                first, second = (a, b) if a < b else (b, a)
-                key = (_linkage_distance(d.d, a, b, linkage), first, second)
-                if best is None or key < best[0]:
-                    best = (key, ai, bi)
-        (height, first, second), ai, bi = best
-        merges.append(Merge(left=first, right=second, height=height))
-        merged = tuple(sorted(clusters[ai] + clusters[bi]))
-        clusters = [c for k, c in enumerate(clusters) if k not in (ai, bi)]
-        clusters.append(merged)
+    for _ in range(n - 1):
+        dist = agg / np.outer(size, size) if linkage == "average" else agg
+        # slot k holds the cluster whose smallest member is k, and clusters
+        # are disjoint, so sorted member tuples order as their slots do: the
+        # first minimum in row-major order is the documented tie-break, a < b
+        a, b = divmod(int(dist.argmin()), n)
+        merges.append(Merge(left=members[a], right=members[b], height=float(dist[a, b])))
+        agg[a] = agg[:, a] = combine(agg[a], agg[b])
+        agg[b] = agg[:, b] = agg[a, a] = np.inf
+        size[a] += size[b]
+        members[a] = tuple(sorted(members[a] + members[b]))
     return tuple(merges)
 
 
@@ -128,17 +130,6 @@ def partition_at(dendrogram: tuple[Merge, ...], n_units: int, k: int) -> list[tu
     return sorted(clusters, key=lambda c: c[0])
 
 
-def _max_within(d: np.ndarray, groups) -> float:
-    # max over i != j only: dissimilarities may be negative, so the zero
-    # diagonal must not participate
-    worst = -np.inf
-    for g in groups:
-        for a in range(len(g)):
-            for b in range(a + 1, len(g)):
-                worst = max(worst, float(d[g[a], g[b]]))
-    return worst
-
-
 def select_k(
     dendrogram: tuple[Merge, ...],
     d: Dissimilarity,
@@ -146,18 +137,27 @@ def select_k(
     k_override: int | None = None,
 ) -> ClusterResult:
     """Smallest K with max within-group dissimilarity <= q_alpha, or the
-    override; labels are assigned by each group's smallest member index."""
+    override; labels are assigned by each group's smallest member index.
+
+    Every within-group pair is joined by exactly one merge, so the partition
+    after m merges is feasible until the first merge whose cross-block max
+    exceeds q_alpha; K is n minus that merge's 0-based index, or 1 if none
+    does.
+    """
     n = d.n_units
+    if len(dendrogram) != n - 1:
+        raise ValueError(f"dendrogram has {len(dendrogram)} merges; {n} units need {n - 1}")
     if k_override is not None:
         if not 1 <= k_override <= n:
             raise ValueError(f"k_override={k_override} outside [1, {n}]")
         k_hat = k_override
     else:
-        k_hat = n
-        for k in range(1, n + 1):
-            if _max_within(d.d, partition_at(dendrogram, n, k)) <= q_alpha:
-                k_hat = k
-                break
+        first_over = (
+            m
+            for m, merge in enumerate(dendrogram)
+            if d.d[np.ix_(merge.left, merge.right)].max() > q_alpha
+        )
+        k_hat = n - next(first_over, n - 1)
     groups = partition_at(dendrogram, n, k_hat)
     membership = [0] * n
     for label, group in enumerate(groups, start=1):
@@ -176,23 +176,16 @@ def group_difference_intervals(
 ) -> GroupDifferenceReport:
     """Gridpoints with S_ij(u, h) > q_alpha (strict, no lambda) for some unit
     pair straddling the group pair, reported as intervals [u-h, u+h]."""
-    out: dict[tuple[int, int], set] = {}
-    grid = table.grid
-    for p, (i, j) in enumerate(table.pairs):
-        ki, kj = result.membership[i], result.membership[j]
-        if ki == kj:
-            continue
-        hit_points = np.nonzero(table.s_hat[p] > q_alpha)[0]
-        if hit_points.size == 0:
-            continue
-        key = (min(ki, kj), max(ki, kj))
-        hits = out.setdefault(key, set())
-        for g in hit_points:
-            u, h = float(grid.u[g]), float(grid.h[g])
-            hits.add((u, h, u - h, u + h))
-    return GroupDifferenceReport(
-        intervals={
-            key: tuple(sorted(vals, key=lambda t: (t[2], t[3])))
-            for key, vals in sorted(out.items())
-        }
-    )
+    labels = np.asarray(result.membership)
+    i, j = np.asarray(table.pairs).T
+    lo, hi = np.minimum(labels[i], labels[j]), np.maximum(labels[i], labels[j])
+    cross = lo != hi
+    intervals = {}
+    for key in sorted(set(zip(lo[cross].tolist(), hi[cross].tolist()))):
+        rows = (lo == key[0]) & (hi == key[1])
+        points = np.nonzero((table.s_hat[rows] > q_alpha).any(axis=0))[0]
+        if points.size:
+            u, h = table.grid.u[points], table.grid.h[points]
+            hits = zip(u.tolist(), h.tolist(), (u - h).tolist(), (u + h).tolist())
+            intervals[key] = tuple(sorted(hits, key=lambda t: (t[2], t[3])))
+    return GroupDifferenceReport(intervals=intervals)

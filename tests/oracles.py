@@ -215,6 +215,55 @@ def scipy_merge_heights(d: np.ndarray, method: str) -> np.ndarray:
     return z[:, 2] - shift
 
 
+def naive_hac_cluster(d: np.ndarray, linkage: str):
+    """Merge sequence [(left, right, height)] by rescanning every cluster
+    pair's linkage on every merge; ties go to the lexicographically smallest
+    pair of sorted member tuples."""
+    d = np.asarray(d, dtype=float)
+    clusters = [(i,) for i in range(d.shape[0])]
+    merges = []
+    while len(clusters) > 1:
+        best = None
+        for ai in range(len(clusters)):
+            for bi in range(ai + 1, len(clusters)):
+                a, b = clusters[ai], clusters[bi]
+                block = d[np.ix_(a, b)]
+                if linkage == "complete":
+                    dist = float(block.max())
+                elif linkage == "single":
+                    dist = float(block.min())
+                else:
+                    dist = float(block.mean())
+                first, second = (a, b) if a < b else (b, a)
+                key = (dist, first, second)
+                if best is None or key < best[0]:
+                    best = (key, ai, bi)
+        (height, first, second), ai, bi = best
+        merges.append((first, second, height))
+        merged = tuple(sorted(clusters[ai] + clusters[bi]))
+        clusters = [c for k, c in enumerate(clusters) if k not in (ai, bi)]
+        clusters.append(merged)
+    return merges
+
+
+def naive_group_differences(membership, pairs, s_hat, us, hs, q):
+    """{(k, k'): sorted (u, h, u-h, u+h)} by a loop over every pair and
+    gridpoint with S > q whose units carry different labels."""
+    out = {}
+    for p, (i, j) in enumerate(pairs):
+        ki, kj = membership[i], membership[j]
+        if ki == kj:
+            continue
+        for g in range(s_hat.shape[1]):
+            if s_hat[p, g] > q:
+                u, h = float(us[g]), float(hs[g])
+                out.setdefault((min(ki, kj), max(ki, kj)), set()).add((u, h, u - h, u + h))
+    return {
+        key: tuple(sorted(vals, key=lambda t: (t[2], t[3])))
+        for key, vals in sorted(out.items())
+    }
+
+
 def naive_minimal_intervals(entries):
     """O(n^2) containment scan: drop any interval strictly containing another
     rejected interval of the same pair."""

@@ -5,13 +5,14 @@ from panelscale import (
     Dissimilarity,
     Grid,
     LocalStatTable,
+    build_grid_application,
     dissimilarity_matrix,
     group_difference_intervals,
     hac_cluster,
     select_k,
     unit_pairs,
 )
-from panelscale.cluster import partition_at
+from panelscale.cluster import LINKAGES, partition_at
 from panelscale.kernels import lambda_correction
 
 import oracles
@@ -65,6 +66,14 @@ def test_dissimilarity_matches_bruteforce():
     np.testing.assert_allclose(d.d, ref, atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dissimilarity_rejects_non_finite(bad):
+    m = np.zeros((3, 3))
+    m[0, 1] = m[1, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Dissimilarity(d=m)
+
+
 def test_three_unit_merge_sequence():
     d = Dissimilarity(
         d=np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 6.0], [5.0, 6.0, 0.0]])
@@ -76,15 +85,38 @@ def test_three_unit_merge_sequence():
     assert merges[1].height == 6.0
 
 
-def test_equal_distances_tie_break_lexicographic():
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_equal_distances_tie_break_lexicographic(linkage):
     n = 4
     d = Dissimilarity(d=np.ones((n, n)) - np.eye(n))
-    merges = hac_cluster(d, "complete")
+    merges = hac_cluster(d, linkage)
     assert merges[0].left == (0,) and merges[0].right == (1,)
     assert all(m.height == 1.0 for m in merges)
 
 
-@pytest.mark.parametrize("linkage", ["complete", "single", "average"])
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_merges_match_rescan_oracle(linkage):
+    rng = np.random.default_rng(12)
+    cases = [random_dissimilarity(rng, n) for n in range(2, 14)]
+    # entries in {0, 1, 2} make many exact ties, also between averages; a
+    # weighted-mean update of the averages breaks one of them (trial 225)
+    for trial in range(240):
+        n = 2 + trial % 12
+        m = np.triu(rng.integers(0, 3, size=(n, n)), k=1).astype(float)
+        cases.append(Dissimilarity(d=m + m.T))
+    for d in cases:
+        merges = hac_cluster(d, linkage)
+        ref = oracles.naive_hac_cluster(d.d, linkage)
+        assert [(m.left, m.right) for m in merges] == [(a, b) for a, b, _ in ref]
+        heights = np.array([m.height for m in merges])
+        ref_heights = np.array([h for _, _, h in ref])
+        if linkage == "average":
+            np.testing.assert_allclose(heights, ref_heights, rtol=1e-12, atol=0.0)
+        else:
+            np.testing.assert_array_equal(heights, ref_heights)
+
+
+@pytest.mark.parametrize("linkage", LINKAGES)
 def test_merge_heights_match_scipy_reference(linkage):
     rng = np.random.default_rng(2)
     for _ in range(6):
@@ -130,9 +162,10 @@ def test_select_k_respects_override():
         select_k(dendro, d, 0.0, k_override=0)
 
 
-def test_select_k_definition_smallest_feasible():
+@pytest.mark.parametrize("linkage", LINKAGES)
+def test_select_k_definition_smallest_feasible(linkage):
     d = random_dissimilarity(np.random.default_rng(7), 6)
-    dendro = hac_cluster(d, "complete")
+    dendro = hac_cluster(d, linkage)
     q = float(np.median(d.d[np.triu_indices(6, k=1)]))
     res = select_k(dendro, d, q)
 
@@ -147,6 +180,15 @@ def test_select_k_definition_smallest_feasible():
     assert max_within(res.k_hat) <= q
     for k in range(1, res.k_hat):
         assert max_within(k) > q
+
+
+def test_select_k_rejects_dendrogram_of_other_n():
+    rng = np.random.default_rng(14)
+    d3, d4 = random_dissimilarity(rng, 3), random_dissimilarity(rng, 4)
+    with pytest.raises(ValueError, match="merges"):
+        select_k(hac_cluster(d4, "complete"), d3, q_alpha=0.0)
+    with pytest.raises(ValueError, match="merges"):
+        select_k(hac_cluster(d3, "complete"), d4, q_alpha=0.0)
 
 
 def test_select_k_equals_height_cut_for_complete_linkage():
@@ -224,3 +266,22 @@ def test_group_difference_monotone_in_alpha():
     large_q = group_difference_intervals(res, table, 2.5)
     for key, intervals in large_q.intervals.items():
         assert set(intervals) <= set(small_q.intervals.get(key, ()))
+
+
+def test_group_differences_match_per_pair_oracle():
+    rng = np.random.default_rng(15)
+    grid = build_grid_application(100)
+    n = 7
+    s = rng.uniform(0, 3, size=(len(unit_pairs(n)), grid.n_points))
+    table = table_from(s, n, grid)
+    d = dissimilarity_matrix(table)
+    res = select_k(hac_cluster(d, "complete"), d, q_alpha=0.0, k_override=3)
+    assert len(set(res.membership)) == 3
+    q = 2.9
+    report = group_difference_intervals(res, table, q)
+    ref = oracles.naive_group_differences(res.membership, table.pairs, s, grid.u, grid.h, q)
+    assert report.intervals == ref
+    assert list(report.intervals) == list(ref)
+    for key, intervals in report.intervals.items():
+        assert all(type(k) is int for k in key)
+        assert all(type(x) is float for t in intervals for x in t)
