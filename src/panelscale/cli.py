@@ -47,11 +47,9 @@ _INPUT_ERRORS = (PanelFormatError, QuantileError, ValueError, OSError)
 _NUMERIC_ERRORS = (SingularDesignError, DegenerateCovarianceError, ArithmeticError)
 
 
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"PANELSCALE_{name}")
-    if raw is None:
-        return fallback
-    return cast(raw)
+def _env_default(name: str, fallback):
+    # argparse runs a string default through the flag's type: a bad value exits 2
+    return os.environ.get(f"PANELSCALE_{name}", fallback)
 
 
 def _add_common_io(parser: argparse.ArgumentParser) -> None:
@@ -59,26 +57,24 @@ def _add_common_io(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--layout",
         choices=("long", "wide"),
-        default=_env_default("LAYOUT", "long", str),
+        default=_env_default("LAYOUT", "long"),
         help="CSV layout (default: long)",
     )
     parser.add_argument(
         "--out",
-        default=_env_default("OUT", ".", str),
+        default=_env_default("OUT", "."),
         help="output directory (created if missing)",
     )
 
 
 def _add_test_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--alpha", type=float, default=_env_default("ALPHA", 0.05, float)
-    )
-    parser.add_argument("--B", type=int, default=_env_default("B", 5000, int))
-    parser.add_argument("--seed", type=int, default=_env_default("SEED", 0, int))
+    parser.add_argument("--alpha", type=float, default=_env_default("ALPHA", 0.05))
+    parser.add_argument("--B", type=int, default=_env_default("B", 5000))
+    parser.add_argument("--seed", type=int, default=_env_default("SEED", 0))
     parser.add_argument(
         "--grid",
         choices=("app", "custom"),
-        default=_env_default("GRID", "app", str),
+        default=_env_default("GRID", "app"),
         help="grid construction: the application rule or a custom u-step/h set",
     )
     parser.add_argument("--u-step", type=int, default=None, help="custom grid u step")
@@ -90,23 +86,23 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         choices=KERNEL_KINDS,
-        default=_env_default("KERNEL", "epanechnikov", str),
+        default=_env_default("KERNEL", "epanechnikov"),
     )
     parser.add_argument(
         "--hac-kernel",
         choices=COV_KERNEL_KINDS,
-        default=_env_default("HAC_KERNEL", HacConfig.cov_kernel, str),
+        default=_env_default("HAC_KERNEL", HacConfig.cov_kernel),
     )
     parser.add_argument(
         "--hac-bandwidth",
         type=float,
-        default=_env_default("HAC_BANDWIDTH", None, float),
+        default=_env_default("HAC_BANDWIDTH", None),
         help="HAC bandwidth chi (default: floor(T^(1/3)))",
     )
     parser.add_argument(
         "--pilot-h",
         type=float,
-        default=_env_default("PILOT_H", HacConfig.pilot_bandwidth, float),
+        default=_env_default("PILOT_H", HacConfig.pilot_bandwidth),
     )
     parser.add_argument("--pooled-lrv", action="store_true")
     parser.add_argument(
@@ -114,7 +110,7 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip per-unit demeaning (fixed effects are removed by default)",
     )
-    parser.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
+    parser.add_argument("--threads", type=int, default=_env_default("THREADS", 1))
     parser.add_argument(
         "--crit-cache",
         default=None,
@@ -314,6 +310,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.lead < 0:
+        raise PanelFormatError(f"--lead {args.lead} must be nonnegative")
     panel = panel_from_csv(args.input, args.layout)
     y = panel.y
     x = panel.x
@@ -373,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="key = value experiment file")
     p_sim.add_argument("--out", default=".", help="output directory")
-    p_sim.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
+    p_sim.add_argument("--threads", type=int, default=_env_default("THREADS", 1))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_prep = sub.add_parser("preprocess", help="deseasonalize/demean/lead-shift")

@@ -112,14 +112,7 @@ def build_grid_application(T: int) -> Grid:
         t += 1
     if not s_values:
         raise GridError(f"no admissible bandwidth of the form (5t-3)/T for T={T}")
-    u_values = [5 * t for t in range(1, T // 5 + 1)]
-    points = [
-        (tu / T, s / T)
-        for s in s_values
-        for tu in u_values
-        if tu - s >= 0 and tu + s <= T
-    ]
-    return _assemble(points, T)
+    return build_grid_custom(T, 5, [s / T for s in s_values])
 
 
 def build_grid_custom(T: int, u_step: int, h_values) -> Grid:

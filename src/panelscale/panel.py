@@ -134,19 +134,50 @@ def _parse_int(token: str, row: int, col: str) -> int:
         ) from None
 
 
-def _read_rows(path) -> list[list[str]]:
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the data rows of a CSV file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise PanelFormatError(f"{path} is empty")
-    return rows
+    return [c.strip() for c in rows[0]], rows[1:]
 
 
-def _from_long(rows: list[list[str]], path) -> Panel:
-    header = [c.strip() for c in rows[0]]
+def _convert(rows: list[list[str]], header: list[str], time_col: int, path):
+    """Time column as Python ints and the columns after it as one float array.
+
+    Python ints keep an out-of-range time a coverage error rather than an
+    overflow. On failure the cells are re-read one by one, in file order, so
+    that the first bad row or cell is the one named.
+    """
+    if not rows:
+        raise PanelFormatError(f"{path}: no data rows")
+    width, n = len(header), time_col + 1
+    if all(len(row) == width for row in rows):
+        try:
+            columns = list(zip(*rows))
+            times = [int(t) for t in columns[time_col]]
+            values = np.array(columns[n:], dtype=float).T
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return times, values
+    times, cells = [], []
+    for r, row in enumerate(rows, start=2):
+        if len(row) != width:
+            raise PanelFormatError(
+                f"{path}: row {r} has {len(row)} cells, expected {width}"
+            )
+        times.append(_parse_int(row[time_col], r, "time"))
+        cells.append([_parse_float(c, r, col) for c, col in zip(row[n:], header[n:])])
+    return times, np.array(cells)
+
+
+def _from_long(header: list[str], rows: list[list[str]], path) -> Panel:
     if header[:3] != ["unit", "time", "y"]:
         raise PanelFormatError(
             f"{path}: long layout header must start with unit,time,y; got {header[:3]}"
@@ -159,61 +190,49 @@ def _from_long(rows: list[list[str]], path) -> Panel:
         )
     if not x_cols:
         raise PanelFormatError(f"{path}: long layout needs at least one x column")
-    D = len(x_cols)
+    times, values = _convert(rows, header, 1, path)
 
-    units: list[str] = []
-    data: dict[str, dict[int, float]] = {}
-    xdata: dict[int, tuple[float, ...]] = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 3 + D:
-            raise PanelFormatError(
-                f"{path}: row {r} has {len(row)} cells, expected {3 + D}"
-            )
+    first: dict[int, int] = {}  # time -> index of the first row at that time
+    firsts = [first.setdefault(t, k) for k, t in enumerate(times)]
+    differ = (values[firsts, 1:] != values[:, 1:]).any(axis=1).tolist()
+    data: dict[str, dict[int, int]] = {}  # unit -> time -> row index
+    for k, (row, t) in enumerate(zip(rows, times)):
         unit = row[0].strip()
         if unit == "":
-            raise PanelFormatError(f"{path}: empty unit label in row {r}")
-        t = _parse_int(row[1], r, "time")
-        yv = _parse_float(row[2], r, "y")
-        xv = tuple(_parse_float(row[3 + d], r, x_cols[d]) for d in range(D))
-        if unit not in data:
-            units.append(unit)
-            data[unit] = {}
-        if t in data[unit]:
+            raise PanelFormatError(f"{path}: empty unit label in row {k + 2}")
+        at = data.setdefault(unit, {})
+        if t in at:
             raise PanelFormatError(
-                f"{path}: duplicate (unit={unit}, time={t}) at row {r}"
+                f"{path}: duplicate (unit={unit}, time={t}) at row {k + 2}"
             )
-        data[unit][t] = yv
-        if t in xdata:
-            if xdata[t] != xv:
-                raise PanelFormatError(
-                    f"{path}: covariates differ across units at time {t} (row {r}); "
-                    "covariates must be common to all units"
-                )
-        else:
-            xdata[t] = xv
+        at[t] = k
+        if differ[k]:
+            raise PanelFormatError(
+                f"{path}: covariates differ across units at time {t} (row {k + 2}); "
+                "covariates must be common to all units"
+            )
 
-    lengths = {u: len(ts) for u, ts in data.items()}
-    T = lengths[units[0]]
-    for u, n in lengths.items():
-        if n != T:
+    units = list(data)
+    T = len(data[units[0]])
+    for u in units:
+        if len(data[u]) != T:
             raise PanelFormatError(
                 f"{path}: ragged series: unit {units[0]!r} has {T} rows, "
-                f"unit {u!r} has {n}"
+                f"unit {u!r} has {len(data[u])}"
             )
+    span = list(range(1, T + 1))
     for u in units:
-        times = sorted(data[u])
-        if times != list(range(1, T + 1)):
+        if sorted(data[u]) != span:
             raise PanelFormatError(
                 f"{path}: unit {u!r} does not cover a complete time sequence 1..{T}"
             )
 
-    y = np.array([[data[u][t] for t in range(1, T + 1)] for u in units])
-    x = np.array([xdata[t] for t in range(1, T + 1)])
+    y = values[[[data[u][t] for t in span] for u in units], 0]
+    x = values[[first[t] for t in span], 1:]
     return Panel(y=y, x=x, unit_labels=tuple(units))
 
 
-def _from_wide(rows: list[list[str]], path) -> Panel:
-    header = [c.strip() for c in rows[0]]
+def _from_wide(header: list[str], rows: list[list[str]], path) -> Panel:
     if not header or header[0] != "time":
         raise PanelFormatError(f"{path}: wide layout header must start with 'time'")
     y_cols = [c for c in header[1:] if c.startswith("y_")]
@@ -232,40 +251,29 @@ def _from_wide(rows: list[list[str]], path) -> Panel:
     labels = [c[2:] for c in y_cols]
     if len(set(labels)) != len(labels):
         raise PanelFormatError(f"{path}: duplicate unit labels in header")
+    times, values = _convert(rows, header, 0, path)
 
-    seen: dict[int, int] = {}
-    yrows: dict[int, list[float]] = {}
-    xrows: dict[int, list[float]] = {}
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise PanelFormatError(
-                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-            )
-        t = _parse_int(row[0], r, "time")
+    seen: dict[int, int] = {}  # time -> row index
+    for k, t in enumerate(times):
         if t in seen:
-            raise PanelFormatError(f"{path}: duplicate time {t} at row {r}")
-        seen[t] = r
-        yrows[t] = [_parse_float(row[1 + i], r, y_cols[i]) for i in range(len(y_cols))]
-        xrows[t] = [
-            _parse_float(row[1 + len(y_cols) + d], r, x_cols[d])
-            for d in range(len(x_cols))
-        ]
-    T = len(yrows)
-    if sorted(yrows) != list(range(1, T + 1)):
+            raise PanelFormatError(f"{path}: duplicate time {t} at row {k + 2}")
+        seen[t] = k
+    T = len(seen)
+    if sorted(seen) != list(range(1, T + 1)):
         raise PanelFormatError(f"{path}: time column does not cover 1..{T}")
 
-    y = np.array([[yrows[t][i] for t in range(1, T + 1)] for i in range(len(labels))])
-    x = np.array([xrows[t] for t in range(1, T + 1)])
-    return Panel(y=y, x=x, unit_labels=tuple(labels))
+    order = values[[seen[t] for t in range(1, T + 1)]]
+    N = len(labels)
+    return Panel(y=order[:, :N].T, x=order[:, N:], unit_labels=tuple(labels))
 
 
 def panel_from_csv(path, layout: str = "long") -> Panel:
     """Read a panel from CSV; unit order follows first appearance in the file."""
-    rows = _read_rows(path)
+    header, rows = _read_rows(path)
     if layout == "long":
-        return _from_long(rows, path)
+        return _from_long(header, rows, path)
     if layout == "wide":
-        return _from_wide(rows, path)
+        return _from_wide(header, rows, path)
     raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
 
 
@@ -273,29 +281,27 @@ def panel_to_csv(panel: Panel, path, layout: str = "long") -> None:
     """Write a panel as CSV; exact inverse of panel_from_csv for both layouts."""
     if layout not in ("long", "wide"):
         raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
-    N, T, D = panel.n_units, panel.n_time, panel.n_covariates
+    y = [[repr(v) for v in row] for row in panel.y.tolist()]
+    x = [[repr(v) for v in row] for row in panel.x.tolist()]
+    D = panel.n_covariates
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         if layout == "long":
             writer.writerow(["unit", "time", "y"] + [f"x{d + 1}" for d in range(D)])
-            for i, label in enumerate(panel.unit_labels):
-                for t in range(T):
-                    writer.writerow(
-                        [label, t + 1, repr(float(panel.y[i, t]))]
-                        + [repr(float(panel.x[t, d])) for d in range(D)]
-                    )
+            writer.writerows(
+                [label, t, yv] + xt
+                for label, ys in zip(panel.unit_labels, y)
+                for t, (yv, xt) in enumerate(zip(ys, x), start=1)
+            )
         else:
             writer.writerow(
                 ["time"]
                 + [f"y_{label}" for label in panel.unit_labels]
                 + [f"x_{d + 1}" for d in range(D)]
             )
-            for t in range(T):
-                writer.writerow(
-                    [t + 1]
-                    + [repr(float(panel.y[i, t])) for i in range(N)]
-                    + [repr(float(panel.x[t, d])) for d in range(D)]
-                )
+            writer.writerows(
+                [t, *ys, *xt] for t, (ys, xt) in enumerate(zip(zip(*y), x), start=1)
+            )
 
 
 def demean_units(panel: Panel) -> Panel:

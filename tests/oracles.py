@@ -3,16 +3,21 @@
 Everything here recomputes the published formulas with explicit Python loops
 (or delegates to scipy where scipy IS the independent reference, e.g. the
 linkage oracle). Nothing imports the package's computational paths, so
-agreement between the two is a real cross-check.
+agreement between the two is a real cross-check. The CSV oracles build the
+package's Panel container and raise its error type, but parse every cell
+themselves.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import squareform
+
+from panelscale import Panel, PanelFormatError
 
 
 def kernel_value(kind: str, z: float) -> float:
@@ -291,3 +296,228 @@ def riemann_kernel_integral(kind: str, n: int = 10001) -> tuple[float, float]:
     # look up the old name only when the new one is missing.
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(vals, zs)), float(trapezoid(vals**2, zs))
+
+
+# Per-cell CSV reader and writer: every cell goes through its own parse
+# call, so each value and each error message here is the reference for the
+# package's whole-column reader and writer.
+
+
+def _naive_parse_float(token: str, row: int, col: str) -> float:
+    token = token.strip()
+    if token == "":
+        raise PanelFormatError(f"missing value in row {row}, column {col!r}")
+    try:
+        value = float(token)
+    except ValueError:
+        raise PanelFormatError(
+            f"non-numeric value {token!r} in row {row}, column {col!r}"
+        ) from None
+    if not np.isfinite(value):
+        raise PanelFormatError(f"non-finite value in row {row}, column {col!r}")
+    return value
+
+
+def _naive_parse_int(token: str, row: int, col: str) -> int:
+    token = token.strip()
+    try:
+        return int(token)
+    except ValueError:
+        raise PanelFormatError(
+            f"non-integer value {token!r} in row {row}, column {col!r}"
+        ) from None
+
+
+def _naive_read_rows(path) -> list[list[str]]:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh)]
+    except OSError as exc:
+        raise PanelFormatError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise PanelFormatError(f"{path} is empty")
+    return rows
+
+
+def _naive_from_long(rows: list[list[str]], path) -> Panel:
+    header = [c.strip() for c in rows[0]]
+    if header[:3] != ["unit", "time", "y"]:
+        raise PanelFormatError(
+            f"{path}: long layout header must start with unit,time,y; got {header[:3]}"
+        )
+    x_cols = header[3:]
+    expected = [f"x{d + 1}" for d in range(len(x_cols))]
+    if x_cols != expected:
+        raise PanelFormatError(
+            f"{path}: covariate columns must be {expected}, got {x_cols}"
+        )
+    if not x_cols:
+        raise PanelFormatError(f"{path}: long layout needs at least one x column")
+    D = len(x_cols)
+
+    units: list[str] = []
+    data: dict[str, dict[int, float]] = {}
+    xdata: dict[int, tuple[float, ...]] = {}
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != 3 + D:
+            raise PanelFormatError(
+                f"{path}: row {r} has {len(row)} cells, expected {3 + D}"
+            )
+        unit = row[0].strip()
+        if unit == "":
+            raise PanelFormatError(f"{path}: empty unit label in row {r}")
+        t = _naive_parse_int(row[1], r, "time")
+        yv = _naive_parse_float(row[2], r, "y")
+        xv = tuple(_naive_parse_float(row[3 + d], r, x_cols[d]) for d in range(D))
+        if unit not in data:
+            units.append(unit)
+            data[unit] = {}
+        if t in data[unit]:
+            raise PanelFormatError(
+                f"{path}: duplicate (unit={unit}, time={t}) at row {r}"
+            )
+        data[unit][t] = yv
+        if t in xdata:
+            if xdata[t] != xv:
+                raise PanelFormatError(
+                    f"{path}: covariates differ across units at time {t} (row {r}); "
+                    "covariates must be common to all units"
+                )
+        else:
+            xdata[t] = xv
+
+    lengths = {u: len(ts) for u, ts in data.items()}
+    T = lengths[units[0]]
+    for u, n in lengths.items():
+        if n != T:
+            raise PanelFormatError(
+                f"{path}: ragged series: unit {units[0]!r} has {T} rows, "
+                f"unit {u!r} has {n}"
+            )
+    for u in units:
+        times = sorted(data[u])
+        if times != list(range(1, T + 1)):
+            raise PanelFormatError(
+                f"{path}: unit {u!r} does not cover a complete time sequence 1..{T}"
+            )
+
+    y = np.array([[data[u][t] for t in range(1, T + 1)] for u in units])
+    x = np.array([xdata[t] for t in range(1, T + 1)])
+    return Panel(y=y, x=x, unit_labels=tuple(units))
+
+
+def _naive_from_wide(rows: list[list[str]], path) -> Panel:
+    header = [c.strip() for c in rows[0]]
+    if not header or header[0] != "time":
+        raise PanelFormatError(f"{path}: wide layout header must start with 'time'")
+    y_cols = [c for c in header[1:] if c.startswith("y_")]
+    x_cols = [c for c in header[1:] if not c.startswith("y_")]
+    if header[1:] != y_cols + x_cols:
+        raise PanelFormatError(
+            f"{path}: wide layout columns must be time, y_<label>..., x_1..x_D"
+        )
+    expected = [f"x_{d + 1}" for d in range(len(x_cols))]
+    if x_cols != expected:
+        raise PanelFormatError(
+            f"{path}: covariate columns must be {expected}, got {x_cols}"
+        )
+    if not y_cols or not x_cols:
+        raise PanelFormatError(f"{path}: wide layout needs y_<label> and x_ columns")
+    labels = [c[2:] for c in y_cols]
+    if len(set(labels)) != len(labels):
+        raise PanelFormatError(f"{path}: duplicate unit labels in header")
+
+    seen: dict[int, int] = {}
+    yrows: dict[int, list[float]] = {}
+    xrows: dict[int, list[float]] = {}
+    for r, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise PanelFormatError(
+                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+            )
+        t = _naive_parse_int(row[0], r, "time")
+        if t in seen:
+            raise PanelFormatError(f"{path}: duplicate time {t} at row {r}")
+        seen[t] = r
+        yrows[t] = [_naive_parse_float(row[1 + i], r, y_cols[i]) for i in range(len(y_cols))]
+        xrows[t] = [
+            _naive_parse_float(row[1 + len(y_cols) + d], r, x_cols[d])
+            for d in range(len(x_cols))
+        ]
+    T = len(yrows)
+    if sorted(yrows) != list(range(1, T + 1)):
+        raise PanelFormatError(f"{path}: time column does not cover 1..{T}")
+
+    y = np.array([[yrows[t][i] for t in range(1, T + 1)] for i in range(len(labels))])
+    x = np.array([xrows[t] for t in range(1, T + 1)])
+    return Panel(y=y, x=x, unit_labels=tuple(labels))
+
+
+def naive_panel_from_csv(path, layout: str = "long") -> Panel:
+    """Read a panel from CSV; unit order follows first appearance in the file."""
+    rows = _naive_read_rows(path)
+    if layout == "long":
+        return _naive_from_long(rows, path)
+    if layout == "wide":
+        return _naive_from_wide(rows, path)
+    raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
+
+
+def naive_panel_to_csv(panel: Panel, path, layout: str = "long") -> None:
+    """Write a panel as CSV; exact inverse of panel_from_csv for both layouts."""
+    if layout not in ("long", "wide"):
+        raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
+    N, T, D = panel.n_units, panel.n_time, panel.n_covariates
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        if layout == "long":
+            writer.writerow(["unit", "time", "y"] + [f"x{d + 1}" for d in range(D)])
+            for i, label in enumerate(panel.unit_labels):
+                for t in range(T):
+                    writer.writerow(
+                        [label, t + 1, repr(float(panel.y[i, t]))]
+                        + [repr(float(panel.x[t, d])) for d in range(D)]
+                    )
+        else:
+            writer.writerow(
+                ["time"]
+                + [f"y_{label}" for label in panel.unit_labels]
+                + [f"x_{d + 1}" for d in range(D)]
+            )
+            for t in range(T):
+                writer.writerow(
+                    [t + 1]
+                    + [repr(float(panel.y[i, t])) for i in range(N)]
+                    + [repr(float(panel.x[t, d])) for d in range(D)]
+                )
+
+
+def naive_application_points(T: int) -> list[tuple[float, float]]:
+    """Application grid points in the order of the original enumeration loop."""
+    if T < 20:
+        raise ValueError(f"T={T} too small for the application grid (need T >= 20)")
+    h_floor = T ** (-1.0 / 3.0)
+    if h_floor > 0.25:
+        raise ValueError(
+            f"empty bandwidth set: T^(-1/3)={h_floor:.4f} exceeds 1/4 for T={T} "
+            "(need T >= 64)"
+        )
+    s_values = []
+    t = 1
+    while True:
+        s = 5 * t - 3
+        if s / T > 0.25 + 1e-12:
+            break
+        if s / T >= h_floor - 1e-12:
+            s_values.append(s)
+        t += 1
+    if not s_values:
+        raise ValueError(f"no admissible bandwidth of the form (5t-3)/T for T={T}")
+    u_values = [5 * t for t in range(1, T // 5 + 1)]
+    points = [
+        (tu / T, s / T)
+        for s in s_values
+        for tu in u_values
+        if tu - s >= 0 and tu + s <= T
+    ]
+    return points

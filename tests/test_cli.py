@@ -324,6 +324,19 @@ def test_cmd_preprocess_lead_too_large(tmp_path):
     assert code == 2
 
 
+def test_cmd_preprocess_negative_lead_rejected(tmp_path):
+    spec = homogeneous_spec(N=2, T=20, D=1, seed=8)
+    panel, _ = generate_panel(spec)
+    src = tmp_path / "raw.csv"
+    panel_to_csv(panel, src, "long")
+    out = tmp_path / "x.csv"
+    code = main(
+        ["preprocess", "--input", str(src), "--out-file", str(out), "--lead", "-1"]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PANELSCALE_ALPHA", "0.5")
     from panelscale.cli import build_parser
@@ -332,6 +345,28 @@ def test_env_override(tmp_path, monkeypatch):
         ["test", "--input", "x.csv"]
     )
     assert args.alpha == 0.5
+
+
+@pytest.mark.parametrize("name, value", [("B", "abc"), ("THREADS", "2.5")])
+def test_malformed_env_override_exits_2(monkeypatch, name, value):
+    monkeypatch.setenv(f"PANELSCALE_{name}", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--input", "x.csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "layout, header", [("long", "unit,time,y,x1\n"), ("wide", "time,y_a,y_b,x_1\n")]
+)
+def test_cmd_test_header_only_file_exits_2(tmp_path, capsys, layout, header):
+    path = tmp_path / "empty.csv"
+    path.write_text(header, encoding="utf-8")
+    code = main(
+        ["test", "--input", str(path), "--layout", layout, "--out", str(tmp_path)]
+        + FAST
+    )
+    assert code == 2
+    assert "no data rows" in capsys.readouterr().err
 
 
 def test_unknown_flag_rejected():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from panelscale import Grid, GridError, build_grid_application, build_grid_custom
 
 
@@ -27,6 +28,18 @@ def test_application_grid_matches_enumeration(T):
     grid = build_grid_application(T)
     got = {(round(u * T), round(h * T)) for u, h in grid.points}
     assert got == enumerate_application(T)
+
+
+@pytest.mark.parametrize("T", [70, 100, 205, 300, 513, 1000])
+def test_application_grid_keeps_point_order(T):
+    # point order feeds draws_cache_key and the column order of s_hat
+    grid = build_grid_application(T)
+    points = oracles.naive_application_points(T)
+    assert grid.points == tuple(points)
+    hs = [h for _, h in points]
+    assert (grid.h_min, grid.h_max) == (min(hs), max(hs))
+    np.testing.assert_array_equal(grid.u, [u for u, _ in points])
+    np.testing.assert_array_equal(grid.h, hs)
 
 
 def test_application_grid_T64_empty_band():
