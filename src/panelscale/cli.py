@@ -52,14 +52,41 @@ def _env_default(name: str, fallback):
     return os.environ.get(f"PANELSCALE_{name}", fallback)
 
 
-def _add_common_io(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", required=True, help="panel CSV file")
+def _add_choice(parser, flag: str, choices, env: str, fallback: str, **kwargs) -> None:
+    """A choice flag whose default PANELSCALE_<env> may override.
+
+    argparse checks `choices` only on command-line values, but it runs a
+    string default through the flag's type; the type repeats the check, so
+    a bad environment value exits 2 with argparse's message too.
+    """
+
+    def check(value: str) -> str:
+        if value not in choices:
+            listed = ", ".join(map(repr, choices))
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from {listed})"
+            )
+        return value
+
     parser.add_argument(
-        "--layout",
-        choices=("long", "wide"),
-        default=_env_default("LAYOUT", "long"),
+        flag,
+        type=check,
+        choices=choices,
+        default=_env_default(env, fallback),
+        **kwargs,
+    )
+
+
+def _add_layout(parser: argparse.ArgumentParser) -> None:
+    _add_choice(
+        parser, "--layout", ("long", "wide"), "LAYOUT", "long",
         help="CSV layout (default: long)",
     )
+
+
+def _add_common_io(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--input", required=True, help="panel CSV file")
+    _add_layout(parser)
     parser.add_argument(
         "--out",
         default=_env_default("OUT", "."),
@@ -71,10 +98,8 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=_env_default("ALPHA", 0.05))
     parser.add_argument("--B", type=int, default=_env_default("B", 5000))
     parser.add_argument("--seed", type=int, default=_env_default("SEED", 0))
-    parser.add_argument(
-        "--grid",
-        choices=("app", "custom"),
-        default=_env_default("GRID", "app"),
+    _add_choice(
+        parser, "--grid", ("app", "custom"), "GRID", "app",
         help="grid construction: the application rule or a custom u-step/h set",
     )
     parser.add_argument("--u-step", type=int, default=None, help="custom grid u step")
@@ -83,15 +108,9 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="comma-separated custom bandwidths, multiples of 1/T",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_KINDS,
-        default=_env_default("KERNEL", "epanechnikov"),
-    )
-    parser.add_argument(
-        "--hac-kernel",
-        choices=COV_KERNEL_KINDS,
-        default=_env_default("HAC_KERNEL", HacConfig.cov_kernel),
+    _add_choice(parser, "--kernel", KERNEL_KINDS, "KERNEL", "epanechnikov")
+    _add_choice(
+        parser, "--hac-kernel", COV_KERNEL_KINDS, "HAC_KERNEL", HacConfig.cov_kernel
     )
     parser.add_argument(
         "--hac-bandwidth",
@@ -376,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prep = sub.add_parser("preprocess", help="deseasonalize/demean/lead-shift")
     p_prep.add_argument("--input", required=True)
-    p_prep.add_argument("--layout", choices=("long", "wide"), default="long")
+    _add_layout(p_prep)
     p_prep.add_argument("--out-file", required=True, help="processed CSV path")
     p_prep.add_argument(
         "--deseason-lag",

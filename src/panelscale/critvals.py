@@ -48,8 +48,28 @@ class CriticalValue:
 _BLOCK_COLUMNS = 128
 
 
+def _philox_draws(seed: int):
+    """A Generator on Philox(key=seed) and a function that moves it to the
+    start of draw b: counter b * 2**128 and an empty buffer, the state that
+    Philox(key=seed).jumped(b) starts from. Each Philox construction, and so
+    each jumped() call, seeds a SeedSequence from OS entropy that goes
+    unused; setting the state does not."""
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state
+
+    def move_to(b: int) -> None:
+        state["state"]["counter"] = np.array(
+            [0, 0, b & (2**64 - 1), b >> 64], dtype=np.uint64
+        )
+        bitgen.state = state
+
+    return np.random.Generator(bitgen), move_to
+
+
 def _draw_generator(seed: int, b: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed).jumped(b))
+    gen, move_to = _philox_draws(seed)
+    move_to(b)
+    return gen
 
 
 def _max_pair_gap(sums: np.ndarray) -> np.ndarray:
@@ -99,8 +119,10 @@ def simulate_phi(
     def one_block(start: int) -> np.ndarray:
         n = min(per_block, B - start)
         z = np.zeros((per_block, N, T, D))
+        gen, move_to = _philox_draws(seed)
         for k in range(n):
-            _draw_generator(seed, start + k).standard_normal(out=z[k])
+            move_to(start + k)
+            gen.standard_normal(out=z[k])
         # columns ordered (unit, draw, coordinate)
         sums = window_sums(W, z.transpose(2, 1, 0, 3).reshape(T, -1))
         gap = _max_pair_gap(sums.reshape(-1, N, per_block * D))

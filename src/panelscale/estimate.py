@@ -10,6 +10,7 @@ path; local_design, beta_hat and coefficient_curve wrap them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,13 +109,33 @@ def batched_designs(
     """
     x, y = panel.x, panel.y
     T, D = x.shape
-    W = weights_matrix(kernel, T, us, hs)
+    W = _shared_weights(kernel, T, us, hs)
     scale = (1.0 / np.sqrt(T * np.asarray(hs, dtype=float)))[:, None, None]
     M = window_sums(W, (x[:, :, None] * x[:, None, :]).reshape(T, D * D))
     M = M.reshape(-1, D, D) * scale
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     a = window_sums(W, y[:, :, None] * x[None, :, :]).transpose(1, 0, 2) * scale
     return M, a
+
+
+def _shared_weights(
+    kernel: SmoothingKernel, T: int, us: np.ndarray, hs: np.ndarray
+) -> np.ndarray:
+    """weights_matrix(kernel, T, us, hs), cached and read-only. A run_test
+    call needs two (its pilot fit and its grid), so a Monte Carlo run builds
+    each once, not once per replication."""
+    us = np.asarray(us, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    return _cached_weights(kernel, T, us.tobytes(), hs.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_weights(
+    kernel: SmoothingKernel, T: int, u_bytes: bytes, h_bytes: bytes
+) -> np.ndarray:
+    W = weights_matrix(kernel, T, np.frombuffer(u_bytes), np.frombuffer(h_bytes))
+    W.setflags(write=False)
+    return W
 
 
 def solve_mask(M: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ kernel HAC formula
 
 with sample autocovariances Gamma_hat(l). Residuals come from a wide pilot
 local constant fit. The pilot design depends only on X, so one pilot fit
-(one design build, one guard and one solve) serves all units. The pairwise
-normalizer is the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
+(one design build, one guard and one solve) serves all units, and one
+batched HAC estimates every unit's Sigma. The pairwise normalizer is the
+symmetric inverse square root of (Sigma_i + Sigma_j)/2.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ class LongRunCov:
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        # read by pair_normalizer's degeneracy check, once per pair
+        # read by _degenerate, once per unit pair
         object.__setattr__(self, "_min_eig", min_eig)
 
 
@@ -154,7 +155,14 @@ def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
     v = np.asarray(v, dtype=float)
     if v.ndim != 2:
         raise ValueError(f"v must be (T, D), got shape {v.shape}")
-    T, D = v.shape
+    return LongRunCov(unit=unit, sigma=_hac_sigmas(v[None], config)[0])
+
+
+def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
+    """HAC estimates for a stack of moment series v (N, T, D), shape
+    (N, D, D): one batched product per lag. Each unit's product is the BLAS
+    call a lone (T, D) series gets, so its estimate has the same bits."""
+    T, D = v.shape[1:]
     if T <= D:
         raise ValueError(f"need T > D, got T={T}, D={D}")
     if not np.all(np.isfinite(v)):
@@ -162,21 +170,25 @@ def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
     chi = config.resolve_bandwidth(T)
     lags = np.arange(T)
     w = cov_kernel_weight(config.cov_kernel, lags / chi)
-    sigma = w[0] * (v.T @ v) / T
+    vt = np.swapaxes(v, 1, 2)
+    sigma = w[0] * (vt @ v) / T
     for ell in range(1, T):
         if w[ell] == 0.0:
             # bartlett/parzen vanish beyond chi; quadratic_spectral never does
             if config.cov_kernel in ("bartlett", "parzen"):
                 break
             continue
-        gamma = (v[ell:].T @ v[:-ell]) / T
-        sigma += w[ell] * (gamma + gamma.T)
+        gamma = (vt[:, :, ell:] @ v[:, :-ell]) / T
+        sigma += w[ell] * (gamma + np.swapaxes(gamma, 1, 2))
     sigma *= T / (T - D)
-    asym = np.abs(sigma - sigma.T).max()
-    if asym > 1e-12 * max(1.0, np.abs(sigma).max()):
-        raise ValueError(f"HAC estimate asymmetric beyond tolerance ({asym:.3e})")
-    sigma = 0.5 * (sigma + sigma.T)
-    return LongRunCov(unit=unit, sigma=sigma)
+    asym = np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2))
+    limit = 1e-12 * np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
+    bad = asym > limit
+    if np.any(bad):
+        raise ValueError(
+            f"HAC estimate asymmetric beyond tolerance ({asym[np.argmax(bad)]:.3e})"
+        )
+    return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
 
 
 def long_run_covariances(
@@ -184,20 +196,40 @@ def long_run_covariances(
 ) -> list[LongRunCov]:
     """Per-unit HAC estimates; with config.pooled the units share the average."""
     v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
-    per_unit = [hac_estimate(v[i], config, unit=i) for i in range(panel.n_units)]
+    sigmas = _hac_sigmas(v, config)
+    per_unit = [LongRunCov(unit=i, sigma=sigma) for i, sigma in enumerate(sigmas)]
     if not config.pooled:
         return per_unit
     pooled = np.mean([c.sigma for c in per_unit], axis=0)
     return [LongRunCov(unit=i, sigma=pooled) for i in range(panel.n_units)]
 
 
-def _inv_sqrt_spd(sigma: np.ndarray, floor: float, label: str) -> np.ndarray:
+def _degenerate(cov: LongRunCov) -> bool:
+    """Is the unit's covariance singular relative to its own scale?"""
+    return cov._min_eig <= 1e-8 * float(np.trace(cov.sigma)) / cov.sigma.shape[0]
+
+
+def _normalizer_stack(
+    sig_a: np.ndarray, sig_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arithmetic of pair_normalizer for (P, D, D) stacks of the two
+    units' covariances, one batched call per step.
+
+    Returns the inverse square roots (P, D, D), the smallest eigenvalue of
+    each ridged average with its floor, and whether each root passed
+    verification. A pair whose eigenvalue is at or below its floor has no
+    meaningful root; the caller raises.
+    """
+    D = sig_a.shape[-1]
+    sigma = 0.5 * (sig_a + sig_b)
+    trace = np.trace(sigma, axis1=1, axis2=2)
+    sigma = sigma + (1e-10 * trace / D)[:, None, None] * np.eye(D)
     vals, vecs = np.linalg.eigh(sigma)
-    if vals[0] <= floor:
-        raise DegenerateCovarianceError(
-            f"{label}: smallest eigenvalue {vals[0]:.3e} at or below floor {floor:.3e}"
-        )
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        root = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+    check = root @ sigma @ root
+    verified = ~(np.abs(check - np.eye(D)).max(axis=(1, 2)) > 1e-8)
+    return root, vals[:, 0], 1e-8 * trace / D, verified
 
 
 def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
@@ -212,18 +244,17 @@ def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
     if sig_j.sigma.shape[0] != D:
         raise ValueError(f"{pair}: dimension mismatch")
     for cov in (sig_i, sig_j):
-        thresh = 1e-8 * float(np.trace(cov.sigma)) / D
-        if cov._min_eig <= thresh:
+        if _degenerate(cov):
             raise DegenerateCovarianceError(
                 f"{pair}: covariance of unit {cov.unit} is degenerate"
             )
-    sigma = 0.5 * (sig_i.sigma + sig_j.sigma)
-    trace = float(np.trace(sigma))
-    sigma = sigma + (1e-10 * trace / D) * np.eye(D)
-    root = _inv_sqrt_spd(sigma, 1e-8 * trace / D, pair)
-    check = root @ sigma @ root
-    if np.abs(check - np.eye(D)).max() > 1e-8:
+    root, low, floor, verified = _normalizer_stack(sig_i.sigma[None], sig_j.sigma[None])
+    if low[0] <= floor[0]:
+        raise DegenerateCovarianceError(
+            f"{pair}: smallest eigenvalue {low[0]:.3e} at or below floor {floor[0]:.3e}"
+        )
+    if not verified[0]:
         raise DegenerateCovarianceError(
             f"{pair}: inverse square root failed verification"
         )
-    return root
+    return root[0]

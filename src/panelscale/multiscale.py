@@ -22,10 +22,18 @@ from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
 from .kernels import SmoothingKernel, lambda_corrections
-from .lrv import HacConfig, long_run_covariances, pair_normalizer
+from .lrv import (
+    HacConfig,
+    _degenerate,
+    _normalizer_stack,
+    long_run_covariances,
+    pair_normalizer,
+)
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
+# bytes of pair differences compute_stat_table holds at once
+_BLOCK_BYTES = 4 << 20
 
 
 def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
@@ -94,11 +102,22 @@ class TestResult:
 def build_normalizers(
     panel: Panel, kernel: SmoothingKernel, config: HacConfig
 ) -> np.ndarray:
-    """(n_pairs, D, D) stack of inverse square roots, pair order as unit_pairs."""
+    """(n_pairs, D, D) stack of inverse square roots, pair order as unit_pairs.
+
+    All pairs go through one batched computation. If any pair fails a
+    check, pair_normalizer on the first such pair raises its error.
+    """
     covs = long_run_covariances(panel, kernel, config)
-    return np.array(
-        [pair_normalizer(covs[i], covs[j]) for i, j in unit_pairs(panel.n_units)]
-    )
+    i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
+    sigmas = np.array([c.sigma for c in covs])
+    degenerate = np.array([_degenerate(c) for c in covs])
+    roots, low, floor, verified = _normalizer_stack(sigmas[i_idx], sigmas[j_idx])
+    failed = degenerate[i_idx] | degenerate[j_idx] | (low <= floor) | ~verified
+    if np.any(failed):
+        p = int(np.argmax(failed))
+        pair_normalizer(covs[i_idx[p]], covs[j_idx[p]])
+        raise AssertionError(f"pair {p} failed only the batched normalizer checks")
+    return roots
 
 
 def compute_stat_table(
@@ -124,10 +143,24 @@ def compute_stat_table(
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     ok = solve_mask(M)
     i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
-    diff = a[:, i_idx, :] - a[:, j_idx, :]  # (G, P, D)
-    scaled = np.einsum("pde,gpe->pgd", normalizers, diff)
-    del diff  # free it before the next temporary: keeps peak memory down
-    s_hat = np.abs(scaled, out=scaled).max(axis=2)
+    a = np.ascontiguousarray(a.transpose(1, 2, 0))  # (N, D, G)
+    D, G = a.shape[1:]
+    s_hat = np.empty((len(pairs), G))
+    step = max(1, _BLOCK_BYTES // (8 * D * G))
+    for start in range(0, len(pairs), step):
+        blk = slice(start, start + step)
+        diff = a[i_idx[blk]] - a[j_idx[blk]]  # (pairs in the block, D, G)
+        nrm = normalizers[blk, :, :, None]
+        out = s_hat[blk]
+        for d in range(D):
+            # terms added in the order e = 0, 1, ...
+            row = nrm[:, d, 0] * diff[:, 0]
+            for e in range(1, D):
+                row += nrm[:, d, e] * diff[:, e]
+            if d == 0:
+                np.abs(row, out=out)
+            else:
+                np.maximum(out, np.abs(row, out=row), out=out)
     return LocalStatTable(
         grid=grid,
         pairs=pairs,

@@ -149,19 +149,31 @@ def curves_equal_on(a: Curve, b: Curve, lo: float, hi: float) -> bool:
     """
     if hi < lo:
         raise ValueError("need lo <= hi")
+    return bool(_equal_on_intervals(a, b, np.array([lo]), np.array([hi]))[0])
+
+
+def _equal_on_intervals(
+    a: Curve, b: Curve, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """curves_equal_on(a, b, lo[g], hi[g]) for every g, with each curve
+    evaluated once: at all interval ends and breakpoints together. The curves
+    agree on [lo, hi] when they agree at both ends and no breakpoint where
+    they differ lies strictly inside."""
     a, b = _canonical(a), _canonical(b)
     if a == b:
-        return True
-    if a.piecewise_linear and b.piecewise_linear:
-        knots = {lo, hi}
-        for knot in a.breakpoints() + b.breakpoints():
-            if lo < knot < hi:
-                knots.add(knot)
-        pts = np.array(sorted(knots))
-        return bool(np.all(a.eval(pts) == b.eval(pts)))
-    if isinstance(a, Sine) and isinstance(b, Sine):
-        return a == b
-    return False  # sine vs piecewise-linear with nonzero amplitude
+        return np.ones(lo.shape, dtype=bool)
+    if not (a.piecewise_linear and b.piecewise_linear):
+        # two different sines, or a nonconstant sine and a piecewise-linear curve
+        return np.zeros(lo.shape, dtype=bool)
+    knots = np.array(a.breakpoints() + b.breakpoints(), dtype=float)
+    n = lo.size
+    pts = np.concatenate([lo, hi, knots])
+    same = a.eval(pts) == b.eval(pts)
+    differing = np.sort(knots[~same[2 * n :]])
+    inside = np.searchsorted(differing, hi, "left") - np.searchsorted(
+        differing, lo, "right"
+    )
+    return same[:n] & same[n : 2 * n] & (inside == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +234,11 @@ class GroundTruth:
 
     def m0_mask(self, grid: Grid, pairs) -> np.ndarray:
         """(n_pairs, n_points) boolean mask of TRUE local null hypotheses."""
-        mask = np.zeros((len(pairs), grid.n_points), dtype=bool)
+        lo, hi = grid.u - grid.h, grid.u + grid.h
+        mask = np.ones((len(pairs), grid.n_points), dtype=bool)
         for p, (i, j) in enumerate(pairs):
-            for g, (u, h) in enumerate(grid.points):
-                mask[p, g] = self.local_null_true(i, j, u - h, u + h)
+            for ci, cj in zip(self.curves[i], self.curves[j]):
+                mask[p] &= _equal_on_intervals(ci, cj, lo, hi)
         return mask
 
     def true_partition(self) -> set[frozenset[int]]:

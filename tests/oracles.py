@@ -5,7 +5,7 @@ Everything here recomputes the published formulas with explicit Python loops
 linkage oracle). Nothing imports the package's computational paths, so
 agreement between the two is a real cross-check. The CSV oracles build the
 package's Panel container and raise its error type, but parse every cell
-themselves.
+themselves. The curve oracles use only the curves' own eval and breakpoints.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.cluster.hierarchy import linkage as scipy_linkage
 from scipy.spatial.distance import squareform
 
-from panelscale import Panel, PanelFormatError
+from panelscale import Bump, Constant, Linear, Panel, PanelFormatError, Sine
 
 
 def kernel_value(kind: str, z: float) -> float:
@@ -137,6 +137,57 @@ def naive_residual_rows(x, y, kind, unit, h_pilot):
     return np.array(rows)
 
 
+def jumped_generator(seed: int, b: int) -> np.random.Generator:
+    """The stream of draw b: Philox keyed by the seed, jumped b times."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(b))
+
+
+def einsum_stat_table(a, normalizers, n_units: int) -> np.ndarray:
+    """s_hat (P, G) from the response sums a (G, N, D) by one einsum over
+    every pair and gridpoint, pairs in i < j order."""
+    i_idx, j_idx = np.triu_indices(n_units, k=1)
+    diff = a[:, i_idx, :] - a[:, j_idx, :]
+    return np.abs(np.einsum("pde,gpe->pgd", normalizers, diff)).max(axis=2)
+
+
+def _naive_canonical(curve):
+    if isinstance(curve, Sine) and curve.amplitude == 0.0:
+        return Constant(level=curve.level)
+    if isinstance(curve, Linear) and curve.slope == 0.0:
+        return Constant(level=curve.intercept)
+    if isinstance(curve, Bump) and curve.height == 0.0:
+        return Constant(level=0.0)
+    return curve
+
+
+def naive_curves_equal_on(a, b, lo: float, hi: float) -> bool:
+    """Equality on [lo, hi]: both curves evaluated at lo, hi and every
+    breakpoint strictly between them."""
+    a, b = _naive_canonical(a), _naive_canonical(b)
+    if a == b:
+        return True
+    if a.piecewise_linear and b.piecewise_linear:
+        knots = {lo, hi}
+        for knot in a.breakpoints() + b.breakpoints():
+            if lo < knot < hi:
+                knots.add(knot)
+        pts = np.array(sorted(knots))
+        return bool(np.all(a.eval(pts) == b.eval(pts)))
+    return False  # two different sines, or a sine and a piecewise-linear curve
+
+
+def naive_m0_mask(curves, grid, pairs) -> np.ndarray:
+    """True local nulls by one comparison per (pair, gridpoint, coordinate)."""
+    mask = np.zeros((len(pairs), grid.n_points), dtype=bool)
+    for p, (i, j) in enumerate(pairs):
+        for g, (u, h) in enumerate(grid.points):
+            mask[p, g] = all(
+                naive_curves_equal_on(ci, cj, u - h, u + h)
+                for ci, cj in zip(curves[i], curves[j])
+            )
+    return mask
+
+
 def naive_gaussian_draws(T, N, D, us, hs, kind, B, seed) -> np.ndarray:
     """Phi draws one at a time: draw b's Z from the Philox stream jumped b
     times, one einsum over every period, then the max over all unit pairs."""
@@ -146,8 +197,7 @@ def naive_gaussian_draws(T, N, D, us, hs, kind, B, seed) -> np.ndarray:
     i_idx, j_idx = np.triu_indices(N, k=1)
     draws = []
     for b in range(B):
-        gen = np.random.Generator(np.random.Philox(key=seed).jumped(b))
-        z = gen.standard_normal((N, T, D))
+        z = jumped_generator(seed, b).standard_normal((N, T, D))
         sums = np.einsum("gt,ntd->ngd", W, z) * scale[None, :, None]
         s = np.abs(sums[i_idx] - sums[j_idx]).max(axis=2)
         draws.append(float((s - lam[None, :]).max()))

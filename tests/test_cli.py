@@ -356,6 +356,34 @@ def test_malformed_env_override_exits_2(monkeypatch, name, value):
 
 
 @pytest.mark.parametrize(
+    "name, flag",
+    [("GRID", "--grid"), ("LAYOUT", "--layout"), ("KERNEL", "--kernel"),
+     ("HAC_KERNEL", "--hac-kernel")],
+)
+def test_env_choice_checked_like_its_flag(monkeypatch, capsys, name, flag):
+    monkeypatch.setenv(f"PANELSCALE_{name}", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "--input", "x.csv"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_env_layout_reaches_preprocess(tmp_path, monkeypatch):
+    spec = homogeneous_spec(N=2, T=20, D=1, seed=8)
+    panel, _ = generate_panel(spec)
+    src = tmp_path / "raw.csv"
+    panel_to_csv(panel, src, "wide")
+    monkeypatch.setenv("PANELSCALE_LAYOUT", "wide")
+    dst = tmp_path / "out.csv"
+    assert main(["preprocess", "--input", str(src), "--out-file", str(dst)]) == 0
+    assert dst.read_bytes() == src.read_bytes()
+    monkeypatch.setenv("PANELSCALE_LAYOUT", "bogus")
+    with pytest.raises(SystemExit) as exc:
+        main(["preprocess", "--input", str(src), "--out-file", str(dst)])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
     "layout, header", [("long", "unit,time,y,x1\n"), ("wide", "time,y_a,y_b,x_1\n")]
 )
 def test_cmd_test_header_only_file_exits_2(tmp_path, capsys, layout, header):

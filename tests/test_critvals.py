@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -99,6 +100,42 @@ def test_draws_match_per_draw_einsum(T, grid):
     got = simulate_phi(T, 3, 2, grid, KERN, 100, seed=8, n_workers=2)
     ref = oracles.naive_gaussian_draws(T, 3, 2, grid.u, grid.h, KERN.kind, 100, 8)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_draw_generator_matches_jumped_philox(seed):
+    # the counter set through .state must give Philox(key=seed).jumped(b)'s
+    # stream, across the 64-bit word boundary of the jump count too
+    for b in (0, 1, 7, 999, 2**64 + 3):
+        got = critvals._draw_generator(seed, b).standard_normal(64)
+        ref = oracles.jumped_generator(seed, b).standard_normal(64)
+        np.testing.assert_array_equal(got, ref)
+
+
+# sha256 of simulate_phi(T, N, D, application grid, Epanechnikov, B=200,
+# seed=7) as little-endian float64, taken when every draw still built its
+# Philox through .jumped(b)
+PINNED_DRAWS = {
+    (5, 300, 2): "7d6380bb28548aa03e90753c7bce89a8627f7575a0496a89437c43d43b15cf14",
+    (4, 200, 3): "dca43eb90449d8f6a949eae88c0b099bcb047c2185c755d4b2f248e616e9b1e8",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PINNED_DRAWS))
+def test_simulate_phi_bytes_pinned(shape):
+    N, T, D = shape
+    phi = simulate_phi(T, N, D, build_grid_application(T), KERN, 200, seed=7)
+    digest = hashlib.sha256(np.asarray(phi, dtype="<f8").tobytes()).hexdigest()
+    assert digest == PINNED_DRAWS[shape]
+
+
+def test_simulate_phi_repeat_calls_equal():
+    # simulate_phi scales its own weights in place; a second call must not
+    # see the first call's scaling
+    grid = build_grid_application(100)
+    a = simulate_phi(100, 3, 2, grid, KERN, 100, seed=2)
+    b = simulate_phi(100, 3, 2, grid, KERN, 100, seed=2)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_outputs_identical_across_blas_threads(tmp_path):

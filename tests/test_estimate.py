@@ -10,6 +10,8 @@ from panelscale import (
     coefficient_curve,
     local_design,
 )
+from panelscale import estimate
+from panelscale.kernels import weights_matrix
 
 import oracles
 
@@ -192,3 +194,25 @@ def test_coefficient_curve_tracks_lipschitz_truth():
         return np.abs(curve.values[:, 0] - np.sin(2 * np.pi * locs)).max()
 
     assert run(800) < run(200) * 1.2  # allow noise, expect clear improvement
+
+
+def test_shared_weights_read_only_and_equal_to_weights_matrix():
+    us, hs = np.array([0.25, 0.5]), np.array([0.125, 0.25])
+    W = estimate._shared_weights(KERN, 16, us, hs)
+    np.testing.assert_array_equal(W, weights_matrix(KERN, 16, us, hs))
+    assert estimate._shared_weights(KERN, 16, us, hs) is W
+    with pytest.raises(ValueError, match="read-only"):
+        W[0, 0] = 1.0
+
+
+def test_shared_weights_cache_bounded():
+    bound = estimate._cached_weights.cache_info().maxsize
+    for T in range(20, 20 + 3 * bound):
+        estimate._shared_weights(KERN, T, np.array([0.5]), np.array([0.25]))
+        assert estimate._cached_weights.cache_info().currsize <= bound
+    # a key differs by kernel, T, locations and bandwidths
+    W = estimate._shared_weights(KERN, 40, np.array([0.5]), np.array([0.25]))
+    other = estimate._shared_weights(
+        SmoothingKernel("biweight"), 40, np.array([0.5]), np.array([0.25])
+    )
+    assert not np.array_equal(W, other)

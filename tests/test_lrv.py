@@ -15,6 +15,7 @@ from panelscale import (
     residual_series,
 )
 from panelscale.lrv import cov_kernel_weight, default_hac_bandwidth, long_run_covariances
+from panelscale import multiscale
 from panelscale.multiscale import build_normalizers, unit_pairs
 
 import oracles
@@ -295,3 +296,35 @@ def test_degenerate_unit_error_unchanged():
         match=r"^pair \(3, 0\): covariance of unit 3 is degenerate$",
     ):
         pair_normalizer(flat, good)
+
+
+def degenerate_unit_covs(n_units, bad):
+    rng = np.random.default_rng(13)
+    covs = []
+    for i in range(n_units):
+        q = rng.standard_normal((2, 2))
+        sigma = np.diag([1.0, 1e-12]) if i == bad else q @ q.T + np.eye(2)
+        covs.append(LongRunCov(unit=i, sigma=sigma))
+    return covs
+
+
+def test_build_normalizers_raises_first_failing_pair(monkeypatch):
+    # unit 4 is degenerate: (0, 4) is pair 3, the first pair that holds it
+    covs = degenerate_unit_covs(6, bad=4)
+    assert unit_pairs(6)[3] == (0, 4)
+    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    panel, _ = generate_panel(homogeneous_spec(6, 40, 2, seed=1))
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=r"^pair \(0, 4\): covariance of unit 4 is degenerate$",
+    ):
+        build_normalizers(panel, KERN, HacConfig())
+
+
+def test_build_normalizers_never_returns_after_a_failed_check(monkeypatch):
+    covs = degenerate_unit_covs(4, bad=2)
+    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    monkeypatch.setattr(multiscale, "pair_normalizer", lambda *args: None)
+    panel, _ = generate_panel(homogeneous_spec(4, 40, 2, seed=1))
+    with pytest.raises(AssertionError, match="pair 1"):
+        build_normalizers(panel, KERN, HacConfig())

@@ -10,13 +10,18 @@ from panelscale import (
     Rejection,
     SmoothingKernel,
     aggregate,
+    build_grid_application,
     build_grid_custom,
     compute_stat_table,
+    generate_panel,
+    homogeneous_spec,
     local_stat,
     prune_minimal,
     run_test,
     unit_pairs,
 )
+from panelscale import multiscale
+from panelscale.estimate import batched_designs
 from panelscale.kernels import lambda_correction
 
 import oracles
@@ -289,3 +294,37 @@ def test_fallback_on_singular_gridpoint():
         panel.x, panel.y, "epanechnikov", 0.25, 0.25, 0, 1, np.eye(2)
     )
     assert table.s_hat[0, 0] == pytest.approx(ref, abs=1e-12)
+
+
+def table_case(N, D, seed):
+    panel, _ = generate_panel(homogeneous_spec(N, 120, D, seed=seed))
+    grid = build_grid_application(120)
+    rng = np.random.default_rng(seed)
+    normalizers = rng.standard_normal((N * (N - 1) // 2, D, D))
+    return panel, grid, normalizers
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_stat_table_matches_einsum_contraction(D):
+    panel, grid, normalizers = table_case(6, D, seed=D)
+    got = compute_stat_table(panel, KERN, grid, normalizers).s_hat
+    _, a = batched_designs(panel, KERN, grid.u, grid.h)
+    ref = oracles.einsum_stat_table(a, normalizers, panel.n_units)
+    if D <= 2:
+        # two terms per row: the same sums in the same order
+        np.testing.assert_array_equal(got, ref)
+    else:
+        # einsum adds three or more terms in another order
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("pairs_per_block", [1, 4])
+def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
+    panel, grid, normalizers = table_case(6, 3, seed=9)  # 15 pairs
+    one_block = compute_stat_table(panel, KERN, grid, normalizers).s_hat
+    pair_bytes = 8 * panel.n_covariates * grid.n_points
+    assert len(normalizers) * pair_bytes <= multiscale._BLOCK_BYTES
+    # 4 pairs per block leaves a short last block of 3
+    monkeypatch.setattr(multiscale, "_BLOCK_BYTES", pairs_per_block * pair_bytes)
+    blocked = compute_stat_table(panel, KERN, grid, normalizers).s_hat
+    np.testing.assert_array_equal(blocked, one_block)

@@ -7,6 +7,7 @@ from panelscale import (
     Bump,
     Constant,
     DgpSpec,
+    Grid,
     GroundTruth,
     Linear,
     Sine,
@@ -127,6 +128,50 @@ def test_ground_truth_m0_mask():
         support = (0.25 - 0.12, 0.25 + 0.12)
         expected = hi <= support[0] or lo >= support[1]
         assert mask[1][g] == expected
+
+
+M0_CURVES = (
+    Constant(0.0),
+    Constant(1.0),
+    Linear(0.0, 0.0),  # equal to Constant(0.0)
+    Linear(0.2, 1.0),
+    Linear(-0.3, 2.0),  # crosses Linear(0.2, 1.0) at u = 0.5
+    Sine(amplitude=1.0),
+    Sine(amplitude=0.0, level=1.0),  # equal to Constant(1.0)
+    Bump(center=0.5, width=0.2, height=1.0),
+    Bump(center=0.3, width=0.1, height=0.5),
+    Bump(center=0.5, width=0.2, height=0.0),  # equal to Constant(0.0)
+)
+
+
+@pytest.mark.parametrize(
+    "name, curves",
+    [
+        ("bump", planted_bump_spec(6, 100, 2, seed=1, center=0.4, width=0.2,
+                                   height=1.0).curves),
+        ("mixed", mixed_heterogeneity_spec(T=100, D=2, seed=0, height=1.0).curves),
+        ("linear", tuple((c,) for c in M0_CURVES[:5])),
+        ("sine", ((Sine(),), (Sine(),), (Sine(phase=0.5),), (Constant(0.0),),
+                  (Sine(amplitude=0.0),))),
+        ("all_shapes",
+         tuple((c, M0_CURVES[k % 3]) for k, c in enumerate(M0_CURVES))),
+    ],
+)
+def test_m0_mask_matches_per_gridpoint_loop(name, curves):
+    truth = GroundTruth(curves=curves)
+    pairs = tuple(
+        (i, j) for i in range(len(curves)) for j in range(i + 1, len(curves))
+    )
+    # u steps of 1/T put interval ends on every breakpoint of the lattice
+    for step, widths in ((1, (5, 10, 25)), (5, (2, 15))):
+        points = tuple(
+            (t / 100, s / 100) for s in widths for t in range(s, 101 - s, step)
+        )
+        grid = Grid(points=points, T=100, h_min=min(widths) / 100,
+                    h_max=max(widths) / 100)
+        np.testing.assert_array_equal(
+            truth.m0_mask(grid, pairs), oracles.naive_m0_mask(curves, grid, pairs)
+        )
 
 
 def test_true_partition_from_assignment():
