@@ -52,6 +52,14 @@ def _env_default(name: str, fallback):
     return os.environ.get(f"PANELSCALE_{name}", fallback)
 
 
+def positive_int(value: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_choice(parser, flag: str, choices, env: str, fallback: str, **kwargs) -> None:
     """A choice flag whose default PANELSCALE_<env> may override.
 
@@ -129,7 +137,7 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="skip per-unit demeaning (fixed effects are removed by default)",
     )
-    parser.add_argument("--threads", type=int, default=_env_default("THREADS", 1))
+    parser.add_argument("--threads", type=positive_int, default=_env_default("THREADS", 1))
     parser.add_argument(
         "--crit-cache",
         default=None,
@@ -390,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="key = value experiment file")
     p_sim.add_argument("--out", default=".", help="output directory")
-    p_sim.add_argument("--threads", type=int, default=_env_default("THREADS", 1))
+    p_sim.add_argument("--threads", type=positive_int, default=_env_default("THREADS", 1))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_prep = sub.add_parser("preprocess", help="deseasonalize/demean/lead-shift")

@@ -137,7 +137,6 @@ def critical_value(
     draws: np.ndarray,
     alpha: float,
     seed: int = 0,
-    keep_draws: bool = True,
 ) -> CriticalValue:
     """Ceiling order statistic q = sorted_draws[ceil((1-alpha) B)] (1-based).
 
@@ -157,9 +156,7 @@ def critical_value(
     # guard against float fuzz when (1-alpha)*B is mathematically an integer
     idx = max(1, math.ceil((1.0 - alpha) * B - 1e-9))
     q = float(np.sort(draws)[idx - 1])
-    return CriticalValue(
-        alpha=alpha, B=B, seed=seed, q=q, phi_draws=draws if keep_draws else None
-    )
+    return CriticalValue(alpha=alpha, B=B, seed=seed, q=q, phi_draws=draws)
 
 
 def gaussian_critical_value(

@@ -69,10 +69,6 @@ class Grid:
     def n_points(self) -> int:
         return len(self.points)
 
-    def intervals(self) -> np.ndarray:
-        """(n_points, 2) array of [u-h, u+h] endpoints."""
-        return np.column_stack([self.u - self.h, self.u + self.h])
-
 
 def check_grid_T(grid: Grid, T: int) -> None:
     """Raise ValueError unless grid was built for sample size T."""

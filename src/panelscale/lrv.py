@@ -106,7 +106,7 @@ class LongRunCov:
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        # read by _degenerate, once per unit pair
+        # read by _pair_roots, once per unit
         object.__setattr__(self, "_min_eig", min_eig)
 
 
@@ -204,32 +204,40 @@ def long_run_covariances(
     return [LongRunCov(unit=i, sigma=pooled) for i in range(panel.n_units)]
 
 
-def _degenerate(cov: LongRunCov) -> bool:
-    """Is the unit's covariance singular relative to its own scale?"""
-    return cov._min_eig <= 1e-8 * float(np.trace(cov.sigma)) / cov.sigma.shape[0]
+def _pair_roots(covs: list[LongRunCov], i_idx, j_idx) -> np.ndarray:
+    """Symmetric inverse square roots of (Sigma_i + Sigma_j)/2 for the unit
+    pairs (i_idx[p], j_idx[p]), shape (P, D, D), one batched call per step.
 
-
-def _normalizer_stack(
-    sig_a: np.ndarray, sig_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The arithmetic of pair_normalizer for (P, D, D) stacks of the two
-    units' covariances, one batched call per step.
-
-    Returns the inverse square roots (P, D, D), the smallest eigenvalue of
-    each ridged average with its floor, and whether each root passed
-    verification. A pair whose eigenvalue is at or below its floor has no
-    meaningful root; the caller raises.
+    Each unit's covariance must be positive definite relative to its own
+    scale; the average gets a tiny ridge before inversion. The first pair
+    that fails a check raises DegenerateCovarianceError naming it.
     """
-    D = sig_a.shape[-1]
-    sigma = 0.5 * (sig_a + sig_b)
+    sigmas = np.array([c.sigma for c in covs])
+    D = sigmas.shape[-1]
+    min_eig = np.array([c._min_eig for c in covs])
+    degenerate = min_eig <= 1e-8 * np.trace(sigmas, axis1=1, axis2=2) / D
+    sigma = 0.5 * (sigmas[i_idx] + sigmas[j_idx])
     trace = np.trace(sigma, axis1=1, axis2=2)
-    sigma = sigma + (1e-10 * trace / D)[:, None, None] * np.eye(D)
+    sigma += (1e-10 * trace / D)[:, None, None] * np.eye(D)
     vals, vecs = np.linalg.eigh(sigma)
     with np.errstate(invalid="ignore", divide="ignore"):
         root = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
-    check = root @ sigma @ root
-    verified = ~(np.abs(check - np.eye(D)).max(axis=(1, 2)) > 1e-8)
-    return root, vals[:, 0], 1e-8 * trace / D, verified
+    low, floor = vals[:, 0], 1e-8 * trace / D
+    unverified = np.abs(root @ sigma @ root - np.eye(D)).max(axis=(1, 2)) > 1e-8
+    failed = degenerate[i_idx] | degenerate[j_idx] | (low <= floor) | unverified
+    if not np.any(failed):
+        return root
+    p = int(np.argmax(failed))
+    i, j = i_idx[p], j_idx[p]
+    pair = f"pair ({covs[i].unit}, {covs[j].unit})"
+    if degenerate[i] or degenerate[j]:
+        unit = covs[i].unit if degenerate[i] else covs[j].unit
+        raise DegenerateCovarianceError(f"{pair}: covariance of unit {unit} is degenerate")
+    if low[p] <= floor[p]:
+        raise DegenerateCovarianceError(
+            f"{pair}: smallest eigenvalue {low[p]:.3e} at or below floor {floor[p]:.3e}"
+        )
+    raise DegenerateCovarianceError(f"{pair}: inverse square root failed verification")
 
 
 def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
@@ -239,22 +247,6 @@ def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
     average gets a tiny ridge before inversion. Raises
     DegenerateCovarianceError naming the unit pair otherwise.
     """
-    pair = f"pair ({sig_i.unit}, {sig_j.unit})"
-    D = sig_i.sigma.shape[0]
-    if sig_j.sigma.shape[0] != D:
-        raise ValueError(f"{pair}: dimension mismatch")
-    for cov in (sig_i, sig_j):
-        if _degenerate(cov):
-            raise DegenerateCovarianceError(
-                f"{pair}: covariance of unit {cov.unit} is degenerate"
-            )
-    root, low, floor, verified = _normalizer_stack(sig_i.sigma[None], sig_j.sigma[None])
-    if low[0] <= floor[0]:
-        raise DegenerateCovarianceError(
-            f"{pair}: smallest eigenvalue {low[0]:.3e} at or below floor {floor[0]:.3e}"
-        )
-    if not verified[0]:
-        raise DegenerateCovarianceError(
-            f"{pair}: inverse square root failed verification"
-        )
-    return root[0]
+    if sig_j.sigma.shape[0] != sig_i.sigma.shape[0]:
+        raise ValueError(f"pair ({sig_i.unit}, {sig_j.unit}): dimension mismatch")
+    return _pair_roots([sig_i, sig_j], [0], [1])[0]

@@ -22,13 +22,8 @@ from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
 from .kernels import SmoothingKernel, lambda_corrections
-from .lrv import (
-    HacConfig,
-    _degenerate,
-    _normalizer_stack,
-    long_run_covariances,
-    pair_normalizer,
-)
+from .lrv import HacConfig, _pair_roots, long_run_covariances
+from .lrv import pair_normalizer  # noqa: F401  perfbench's tracer looks it up here
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
@@ -39,6 +34,14 @@ _BLOCK_BYTES = 4 << 20
 def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs i < j."""
     return tuple((i, j) for i in range(n_units) for j in range(i + 1, n_units))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a itself if it is read-only and owns its data, else a read-only copy."""
+    if a.flags.writeable or a.base is not None:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +71,8 @@ class LocalStatTable:
             raise ValueError("one lambda per gridpoint required")
         if s.size and s.min() < 0.0:
             raise ValueError("local statistics are max-norms and cannot be negative")
-        s = s.copy()
-        lam = lam.copy()
-        s.setflags(write=False)
-        lam.setflags(write=False)
-        object.__setattr__(self, "s_hat", s)
-        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "s_hat", _frozen(s))
+        object.__setattr__(self, "lam", _frozen(lam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,20 +103,11 @@ def build_normalizers(
 ) -> np.ndarray:
     """(n_pairs, D, D) stack of inverse square roots, pair order as unit_pairs.
 
-    All pairs go through one batched computation. If any pair fails a
-    check, pair_normalizer on the first such pair raises its error.
+    Raises DegenerateCovarianceError naming the first pair that fails a check.
     """
     covs = long_run_covariances(panel, kernel, config)
     i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
-    sigmas = np.array([c.sigma for c in covs])
-    degenerate = np.array([_degenerate(c) for c in covs])
-    roots, low, floor, verified = _normalizer_stack(sigmas[i_idx], sigmas[j_idx])
-    failed = degenerate[i_idx] | degenerate[j_idx] | (low <= floor) | ~verified
-    if np.any(failed):
-        p = int(np.argmax(failed))
-        pair_normalizer(covs[i_idx[p]], covs[j_idx[p]])
-        raise AssertionError(f"pair {p} failed only the batched normalizer checks")
-    return roots
+    return _pair_roots(covs, i_idx, j_idx)
 
 
 def compute_stat_table(
@@ -161,6 +151,7 @@ def compute_stat_table(
                 np.abs(row, out=out)
             else:
                 np.maximum(out, np.abs(row, out=row), out=out)
+    s_hat.setflags(write=False)  # the table keeps it without a copy
     return LocalStatTable(
         grid=grid,
         pairs=pairs,

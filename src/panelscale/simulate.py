@@ -225,13 +225,6 @@ class GroundTruth:
     curves: tuple[tuple[Curve, ...], ...]
     group_assignment: tuple[int, ...] | None = None
 
-    def local_null_true(self, i: int, j: int, lo: float, hi: float) -> bool:
-        """Is beta_i == beta_j on [lo, hi] (all coordinates)?"""
-        return all(
-            curves_equal_on(ci, cj, lo, hi)
-            for ci, cj in zip(self.curves[i], self.curves[j])
-        )
-
     def m0_mask(self, grid: Grid, pairs) -> np.ndarray:
         """(n_pairs, n_points) boolean mask of TRUE local null hypotheses."""
         lo, hi = grid.u - grid.h, grid.u + grid.h

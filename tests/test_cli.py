@@ -355,6 +355,29 @@ def test_malformed_env_override_exits_2(monkeypatch, name, value):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["test", "--input", "x.csv"], ["cluster", "--input", "x.csv"],
+     ["simulate", "--config", "x.cfg"]],
+)
+def test_threads_below_one_exits_2(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", value])
+    assert exc.value.code == 2
+    assert f"argument --threads: must be at least 1, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "cluster", "simulate"])
+def test_env_threads_below_one_exits_2(monkeypatch, capsys, command):
+    monkeypatch.setenv("PANELSCALE_THREADS", "0")
+    flag = "--config" if command == "simulate" else "--input"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "x"])
+    assert exc.value.code == 2
+    assert "argument --threads: must be at least 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "name, flag",
     [("GRID", "--grid"), ("LAYOUT", "--layout"), ("KERNEL", "--kernel"),

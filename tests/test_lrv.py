@@ -322,9 +322,56 @@ def test_build_normalizers_raises_first_failing_pair(monkeypatch):
 
 
 def test_build_normalizers_never_returns_after_a_failed_check(monkeypatch):
+    # build_normalizers names the failing pair itself, without pair_normalizer
     covs = degenerate_unit_covs(4, bad=2)
     monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
     monkeypatch.setattr(multiscale, "pair_normalizer", lambda *args: None)
     panel, _ = generate_panel(homogeneous_spec(4, 40, 2, seed=1))
-    with pytest.raises(AssertionError, match="pair 1"):
+    with pytest.raises(
+        DegenerateCovarianceError,
+        match=r"^pair \(0, 2\): covariance of unit 2 is degenerate$",
+    ):
         build_normalizers(panel, KERN, HacConfig())
+
+
+def test_both_units_degenerate_names_unit_i(monkeypatch):
+    flat = [LongRunCov(unit=u, sigma=np.diag([1.0, 1e-12])) for u in range(3)]
+    message = r"^pair \(0, 1\): covariance of unit 0 is degenerate$"
+    with pytest.raises(DegenerateCovarianceError, match=message):
+        pair_normalizer(flat[0], flat[1])
+    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: flat)
+    panel, _ = generate_panel(homogeneous_spec(3, 40, 2, seed=1))
+    with pytest.raises(DegenerateCovarianceError, match=message):
+        build_normalizers(panel, KERN, HacConfig())
+
+
+# Two units whose covariances share a near-null direction. Each passes the
+# degeneracy check (its smallest eigenvalue is ~1.05e-8 of its mean
+# eigenvalue), but the root of their average is off the identity by ~6e-8.
+NEAR_SINGULAR = (
+    [[1.1528987593661746, 0.26170348868446397, 0.35325899200493865],
+     [0.26170348868446397, 1.0915539359687962, 0.1711490654710443],
+     [0.35325899200493865, 0.1711490654710443, 0.11625801418457038]],
+    [[0.8591796726687224, -0.363549835627419, 0.21403441993436725],
+     [-0.363549835627419, 1.0946978012407784, -0.007649414576235058],
+     [0.21403441993436725, -0.007649414576235058, 0.06062636447686444]],
+)
+
+
+def test_verification_failure_named_by_both_paths(monkeypatch):
+    covs = [LongRunCov(unit=u, sigma=np.array(s)) for u, s in enumerate(NEAR_SINGULAR)]
+    message = r"^pair \(0, 1\): inverse square root failed verification$"
+    with pytest.raises(DegenerateCovarianceError, match=message):
+        pair_normalizer(covs[0], covs[1])
+    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    panel, _ = generate_panel(homogeneous_spec(2, 40, 3, seed=1))
+    with pytest.raises(DegenerateCovarianceError, match=message):
+        build_normalizers(panel, KERN, HacConfig())
+
+
+def test_pair_normalizer_dimension_mismatch():
+    # one panel gives every unit the same D, so only pair_normalizer checks it
+    a = LongRunCov(unit=0, sigma=np.eye(2))
+    b = LongRunCov(unit=1, sigma=np.eye(3))
+    with pytest.raises(ValueError, match=r"^pair \(0, 1\): dimension mismatch$"):
+        pair_normalizer(a, b)

@@ -328,3 +328,39 @@ def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
     monkeypatch.setattr(multiscale, "_BLOCK_BYTES", pairs_per_block * pair_bytes)
     blocked = compute_stat_table(panel, KERN, grid, normalizers).s_hat
     np.testing.assert_array_equal(blocked, one_block)
+
+
+def test_stat_table_peak_below_two_tables():
+    # the table keeps compute_stat_table's own read-only s_hat, uncopied
+    import tracemalloc
+
+    N, T, D = 100, 500, 3
+    panel, _ = generate_panel(homogeneous_spec(N, T, D, seed=1))
+    grid = build_grid_application(T)
+    normalizers = np.broadcast_to(np.eye(D), (N * (N - 1) // 2, D, D))
+    tracemalloc.start()
+    try:
+        table = compute_stat_table(panel, KERN, grid, normalizers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not table.s_hat.flags.writeable
+    assert peak < 2 * table.s_hat.nbytes
+
+
+def test_table_unchanged_by_later_writes_to_its_input():
+    grid = micro_grid()
+    lam = np.array([lambda_correction(h) for h in grid.h])
+    s = np.full((1, grid.n_points), 2.0)
+    table = LocalStatTable(grid=grid, pairs=((0, 1),), s_hat=s, lam=lam)
+    s[0, 0] = 9.0
+    lam[0] = 9.0
+    assert np.all(table.s_hat == 2.0)
+    assert table.lam[0] == lambda_correction(grid.h[0])
+    # a read-only view may share memory with a writable base: copied as well
+    base = np.full((1, grid.n_points), 2.0)
+    view = base[:]
+    view.setflags(write=False)
+    table = LocalStatTable(grid=grid, pairs=((0, 1),), s_hat=view, lam=lam)
+    base[0, 0] = 9.0
+    assert np.all(table.s_hat == 2.0)
