@@ -29,7 +29,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .errors import QuantileError
 from .grid import Grid, check_grid_T
-from .kernels import SmoothingKernel, lambda_corrections, weights_matrix, window_sums
+from .kernels import SmoothingKernel, weights_matrix, window_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,12 +105,9 @@ def simulate_phi(
         raise ValueError("need at least two units for pairwise statistics")
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    if grid.n_points == 0:
-        raise ValueError("grid is empty")
     check_grid_T(grid, T)
     W = weights_matrix(kernel, T, grid.u, grid.h)
     W *= (1.0 / np.sqrt(T * grid.h))[:, None]
-    lam = lambda_corrections(grid.h)
     # about _BLOCK_COLUMNS GEMM columns per block; the blocks depend only on
     # (N, D) and a short last block is zero-padded, so every draw is
     # computed the same way whatever B and n_workers are
@@ -127,7 +124,7 @@ def simulate_phi(
         sums = window_sums(W, z.transpose(2, 1, 0, 3).reshape(T, -1))
         gap = _max_pair_gap(sums.reshape(-1, N, per_block * D))
         s = gap.reshape(-1, per_block, D).max(axis=2)
-        return (s[:, :n] - lam[:, None]).max(axis=0)
+        return (s[:, :n] - grid.lam[:, None]).max(axis=0)
 
     starts = range(0, B, per_block)
     return np.concatenate(ordered_map(one_block, starts, n_workers))

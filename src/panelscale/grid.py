@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError
+from .kernels import lambda_correction
 
 _LATTICE_TOL = 1e-6
 H_MAX_CAP = 0.25
@@ -27,7 +28,7 @@ def _lattice_index(value: float, T: int, what: str) -> int:
 
 @dataclass(frozen=True)
 class Grid:
-    """Validated, immutable collection of (location, bandwidth) points."""
+    """Validated, immutable (location, bandwidth) points and their lambdas."""
 
     points: tuple[tuple[float, float], ...]
     T: int
@@ -35,6 +36,7 @@ class Grid:
     h_max: float
     u: np.ndarray = field(init=False, repr=False, compare=False)
     h: np.ndarray = field(init=False, repr=False, compare=False)
+    lam: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.T < 1:
@@ -60,10 +62,13 @@ class Grid:
             seen.add((ti, si))
         us = np.array([p[0] for p in self.points], dtype=float)
         hs = np.array([p[1] for p in self.points], dtype=float)
+        lam = np.array([lambda_correction(h) for h in hs])
         us.setflags(write=False)
         hs.setflags(write=False)
+        lam.setflags(write=False)
         object.__setattr__(self, "u", us)
         object.__setattr__(self, "h", hs)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def n_points(self) -> int:

@@ -113,8 +113,3 @@ def lambda_correction(h: float) -> float:
     if not 0.0 < h <= 0.5:
         raise ValueError(f"bandwidth h={h} outside (0, 1/2]")
     return math.sqrt(2.0 * math.log(1.0 / (2.0 * h)))
-
-
-def lambda_corrections(h) -> np.ndarray:
-    """lambda_correction for each bandwidth in h, e.g. one per gridpoint."""
-    return np.array([lambda_correction(x) for x in h])

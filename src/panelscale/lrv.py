@@ -8,8 +8,9 @@ kernel HAC formula
 with sample autocovariances Gamma_hat(l). Residuals come from a wide pilot
 local constant fit. The pilot design depends only on X, so one pilot fit
 (one design build, one guard and one solve) serves all units, and one
-batched HAC estimates every unit's Sigma. The pairwise normalizer is the
-symmetric inverse square root of (Sigma_i + Sigma_j)/2.
+batched HAC estimates every unit's Sigma as one (N, D, D) stack. One
+batched pass over that stack gives every pair's normalizer, the symmetric
+inverse square root of (Sigma_i + Sigma_j)/2.
 """
 
 from __future__ import annotations
@@ -97,17 +98,23 @@ class LongRunCov:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
             raise ValueError(f"sigma must be square, got shape {sigma.shape}")
-        if not np.allclose(sigma, sigma.T, atol=1e-10 * max(1.0, np.abs(sigma).max())):
-            raise ValueError("sigma must be symmetric")
-        floor = -1e-10 * max(1.0, float(np.trace(sigma)) / sigma.shape[0])
-        min_eig = float(np.linalg.eigvalsh(sigma)[0])
-        if min_eig < floor:
-            raise ValueError("sigma must be positive semi-definite")
+        _checked_min_eigs(sigma[None])
         sigma = sigma.copy()
         sigma.setflags(write=False)
         object.__setattr__(self, "sigma", sigma)
-        # read by _pair_roots, once per unit
-        object.__setattr__(self, "_min_eig", min_eig)
+
+
+def _checked_min_eigs(sigmas: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric PSD matrix of a (N, D, D) stack."""
+    D = sigmas.shape[-1]
+    atol = 1e-10 * np.maximum(1.0, np.abs(sigmas).max(axis=(1, 2)))[:, None, None]
+    if not np.all(np.isclose(sigmas, np.swapaxes(sigmas, 1, 2), atol=atol)):
+        raise ValueError("sigma must be symmetric")
+    floor = -1e-10 * np.maximum(1.0, np.trace(sigmas, axis1=1, axis2=2) / D)
+    min_eig = np.linalg.eigvalsh(sigmas)[:, 0]
+    if np.any(min_eig < floor):
+        raise ValueError("sigma must be positive semi-definite")
+    return min_eig
 
 
 def _pilot_residuals(
@@ -191,30 +198,37 @@ def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
     return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
 
 
+def _unit_sigmas(
+    panel: Panel, kernel: SmoothingKernel, config: HacConfig
+) -> np.ndarray:
+    """long_run_covariances as one (N, D, D) stack."""
+    v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
+    sigmas = _hac_sigmas(v, config)
+    if not config.pooled:
+        return sigmas
+    _checked_min_eigs(sigmas)  # the units' own estimates must pass too
+    return np.broadcast_to(sigmas.mean(axis=0), sigmas.shape)
+
+
 def long_run_covariances(
     panel: Panel, kernel: SmoothingKernel, config: HacConfig
 ) -> list[LongRunCov]:
     """Per-unit HAC estimates; with config.pooled the units share the average."""
-    v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
-    sigmas = _hac_sigmas(v, config)
-    per_unit = [LongRunCov(unit=i, sigma=sigma) for i, sigma in enumerate(sigmas)]
-    if not config.pooled:
-        return per_unit
-    pooled = np.mean([c.sigma for c in per_unit], axis=0)
-    return [LongRunCov(unit=i, sigma=pooled) for i in range(panel.n_units)]
+    sigmas = _unit_sigmas(panel, kernel, config)
+    return [LongRunCov(unit=i, sigma=sigma) for i, sigma in enumerate(sigmas)]
 
 
-def _pair_roots(covs: list[LongRunCov], i_idx, j_idx) -> np.ndarray:
+def _pair_roots(sigmas: np.ndarray, units, i_idx, j_idx) -> np.ndarray:
     """Symmetric inverse square roots of (Sigma_i + Sigma_j)/2 for the unit
-    pairs (i_idx[p], j_idx[p]), shape (P, D, D), one batched call per step.
+    pairs (i_idx[p], j_idx[p]) of a (N, D, D) stack, shape (P, D, D).
 
-    Each unit's covariance must be positive definite relative to its own
-    scale; the average gets a tiny ridge before inversion. The first pair
-    that fails a check raises DegenerateCovarianceError naming it.
+    Each Sigma must pass _checked_min_eigs and be positive definite relative
+    to its own scale; the average gets a tiny ridge before inversion. The
+    first pair that fails a check raises DegenerateCovarianceError naming it
+    by units[i] and units[j].
     """
-    sigmas = np.array([c.sigma for c in covs])
     D = sigmas.shape[-1]
-    min_eig = np.array([c._min_eig for c in covs])
+    min_eig = _checked_min_eigs(sigmas)
     degenerate = min_eig <= 1e-8 * np.trace(sigmas, axis1=1, axis2=2) / D
     sigma = 0.5 * (sigmas[i_idx] + sigmas[j_idx])
     trace = np.trace(sigma, axis1=1, axis2=2)
@@ -229,9 +243,9 @@ def _pair_roots(covs: list[LongRunCov], i_idx, j_idx) -> np.ndarray:
         return root
     p = int(np.argmax(failed))
     i, j = i_idx[p], j_idx[p]
-    pair = f"pair ({covs[i].unit}, {covs[j].unit})"
+    pair = f"pair ({units[i]}, {units[j]})"
     if degenerate[i] or degenerate[j]:
-        unit = covs[i].unit if degenerate[i] else covs[j].unit
+        unit = units[i] if degenerate[i] else units[j]
         raise DegenerateCovarianceError(f"{pair}: covariance of unit {unit} is degenerate")
     if low[p] <= floor[p]:
         raise DegenerateCovarianceError(
@@ -249,4 +263,5 @@ def pair_normalizer(sig_i: LongRunCov, sig_j: LongRunCov) -> np.ndarray:
     """
     if sig_j.sigma.shape[0] != sig_i.sigma.shape[0]:
         raise ValueError(f"pair ({sig_i.unit}, {sig_j.unit}): dimension mismatch")
-    return _pair_roots([sig_i, sig_j], [0], [1])[0]
+    sigmas = np.array([sig_i.sigma, sig_j.sigma])
+    return _pair_roots(sigmas, (sig_i.unit, sig_j.unit), [0], [1])[0]

@@ -21,9 +21,10 @@ from .critvals import CriticalValue
 from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
-from .kernels import SmoothingKernel, lambda_corrections
-from .lrv import HacConfig, _pair_roots, long_run_covariances
-from .lrv import pair_normalizer  # noqa: F401  perfbench's tracer looks it up here
+from .kernels import SmoothingKernel
+from .lrv import HacConfig, _pair_roots, _unit_sigmas
+# perfbench's tracer looks both up here
+from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
@@ -105,9 +106,9 @@ def build_normalizers(
 
     Raises DegenerateCovarianceError naming the first pair that fails a check.
     """
-    covs = long_run_covariances(panel, kernel, config)
+    sigmas = _unit_sigmas(panel, kernel, config)
     i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
-    return _pair_roots(covs, i_idx, j_idx)
+    return _pair_roots(sigmas, range(panel.n_units), i_idx, j_idx)
 
 
 def compute_stat_table(
@@ -156,7 +157,7 @@ def compute_stat_table(
         grid=grid,
         pairs=pairs,
         s_hat=s_hat,
-        lam=lambda_corrections(grid.h),
+        lam=grid.lam,
         fallback_points=tuple(int(g) for g in np.nonzero(~ok)[0]),
     )
 

@@ -139,26 +139,13 @@ def _canonical(curve: Curve) -> Curve:
     return curve
 
 
-def curves_equal_on(a: Curve, b: Curve, lo: float, hi: float) -> bool:
-    """Exact analytic equality of two curves on the closed interval [lo, hi].
-
-    Piecewise-linear curves are compared at every breakpoint plus the
-    endpoints. A nonconstant sine never coincides with a piecewise-linear
-    curve on a nondegenerate interval; two sines are equal only with
-    identical parameters.
-    """
-    if hi < lo:
-        raise ValueError("need lo <= hi")
-    return bool(_equal_on_intervals(a, b, np.array([lo]), np.array([hi]))[0])
-
-
 def _equal_on_intervals(
     a: Curve, b: Curve, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """curves_equal_on(a, b, lo[g], hi[g]) for every g, with each curve
-    evaluated once: at all interval ends and breakpoints together. The curves
-    agree on [lo, hi] when they agree at both ends and no breakpoint where
-    they differ lies strictly inside."""
+    """Exact equality of curves a and b on each interval [lo[g], hi[g]], each
+    curve evaluated once at all interval ends and breakpoints: piecewise-linear
+    curves agree where they agree at both ends and at every breakpoint
+    inside; a nonconstant sine equals only the same sine."""
     a, b = _canonical(a), _canonical(b)
     if a == b:
         return np.ones(lo.shape, dtype=bool)

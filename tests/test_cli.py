@@ -56,6 +56,15 @@ def test_cmd_test_planted_fixture(tmp_path):
         assert r["u"] + r["h"] > 0.28 and r["u"] - r["h"] < 0.72
 
 
+def test_cmd_test_pooled_lrv(tmp_path):
+    out = tmp_path / "out"
+    code = main(["test", "--input", str(FIXTURE), "--out", str(out), "--pooled-lrv"] + FAST)
+    assert code == 0
+    result = json.loads((out / "result.json").read_text())
+    jsonschema.validate(result, RESULT_SCHEMA)
+    assert result["config"]["pooled_lrv"] is True
+
+
 def test_cmd_test_malformed_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("unit,time,y,x1\nA,1,oops,1.0\n")

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from panelscale import Grid, GridError, build_grid_application, build_grid_custom
+from panelscale.kernels import lambda_correction
 
 
 def enumerate_application(T):
@@ -40,6 +41,8 @@ def test_application_grid_keeps_point_order(T):
     assert (grid.h_min, grid.h_max) == (min(hs), max(hs))
     np.testing.assert_array_equal(grid.u, [u for u, _ in points])
     np.testing.assert_array_equal(grid.h, hs)
+    np.testing.assert_array_equal(grid.lam, [lambda_correction(h) for h in hs])
+    assert not grid.lam.flags.writeable
 
 
 def test_application_grid_T64_empty_band():

@@ -14,7 +14,12 @@ from panelscale import (
     pair_normalizer,
     residual_series,
 )
-from panelscale.lrv import cov_kernel_weight, default_hac_bandwidth, long_run_covariances
+from panelscale.lrv import (
+    _checked_min_eigs,
+    cov_kernel_weight,
+    default_hac_bandwidth,
+    long_run_covariances,
+)
 from panelscale import multiscale
 from panelscale.multiscale import build_normalizers, unit_pairs
 
@@ -241,6 +246,24 @@ def test_pair_normalizer_symmetric_in_arguments():
     np.testing.assert_array_equal(pair_normalizer(a, b), pair_normalizer(b, a))
 
 
+def test_pooled_normalizers_bit_identical_to_per_pair_eigenvalues():
+    panel, _ = generate_panel(homogeneous_spec(5, 300, 2, seed=5))
+    covs = long_run_covariances(panel, KERN, HacConfig(pooled=True))
+    got = build_normalizers(panel, KERN, HacConfig(pooled=True))
+    ref = [per_pair_eig_normalizer(covs[i], covs[j]) for i, j in unit_pairs(5)]
+    np.testing.assert_array_equal(got, np.array(ref))
+
+
+def test_build_normalizers_builds_no_long_run_cov(monkeypatch):
+    def built(self):
+        raise AssertionError(f"LongRunCov built for unit {self.unit}")
+
+    monkeypatch.setattr(LongRunCov, "__post_init__", built)
+    panel, _ = generate_panel(homogeneous_spec(3, 100, 2, seed=1))
+    for pooled in (False, True):
+        build_normalizers(panel, KERN, HacConfig(pooled=pooled))
+
+
 def test_pooled_covariances_shared():
     rng = np.random.default_rng(10)
     panel = Panel(
@@ -276,8 +299,9 @@ def per_pair_eig_normalizer(sig_i, sig_j):
 def test_normalizers_bit_identical_to_per_pair_eigenvalues(N, T, D):
     panel, _ = generate_panel(homogeneous_spec(N, T, D, seed=N))
     covs = long_run_covariances(panel, KERN, HacConfig())
-    for cov in covs:
-        assert cov._min_eig == np.linalg.eigvalsh(cov.sigma)[0]
+    min_eig = _checked_min_eigs(np.array([cov.sigma for cov in covs]))
+    for k, cov in enumerate(covs):
+        assert min_eig[k] == np.linalg.eigvalsh(cov.sigma)[0]
     got = build_normalizers(panel, KERN, HacConfig())
     ref = [per_pair_eig_normalizer(covs[i], covs[j]) for i, j in unit_pairs(N)]
     np.testing.assert_array_equal(got, np.array(ref))
@@ -298,21 +322,20 @@ def test_degenerate_unit_error_unchanged():
         pair_normalizer(flat, good)
 
 
-def degenerate_unit_covs(n_units, bad):
+def degenerate_unit_sigmas(n_units, bad):
     rng = np.random.default_rng(13)
-    covs = []
+    sigmas = []
     for i in range(n_units):
         q = rng.standard_normal((2, 2))
-        sigma = np.diag([1.0, 1e-12]) if i == bad else q @ q.T + np.eye(2)
-        covs.append(LongRunCov(unit=i, sigma=sigma))
-    return covs
+        sigmas.append(np.diag([1.0, 1e-12]) if i == bad else q @ q.T + np.eye(2))
+    return np.array(sigmas)
 
 
 def test_build_normalizers_raises_first_failing_pair(monkeypatch):
     # unit 4 is degenerate: (0, 4) is pair 3, the first pair that holds it
-    covs = degenerate_unit_covs(6, bad=4)
+    sigmas = degenerate_unit_sigmas(6, bad=4)
     assert unit_pairs(6)[3] == (0, 4)
-    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    monkeypatch.setattr(multiscale, "_unit_sigmas", lambda *args: sigmas)
     panel, _ = generate_panel(homogeneous_spec(6, 40, 2, seed=1))
     with pytest.raises(
         DegenerateCovarianceError,
@@ -323,8 +346,8 @@ def test_build_normalizers_raises_first_failing_pair(monkeypatch):
 
 def test_build_normalizers_never_returns_after_a_failed_check(monkeypatch):
     # build_normalizers names the failing pair itself, without pair_normalizer
-    covs = degenerate_unit_covs(4, bad=2)
-    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    sigmas = degenerate_unit_sigmas(4, bad=2)
+    monkeypatch.setattr(multiscale, "_unit_sigmas", lambda *args: sigmas)
     monkeypatch.setattr(multiscale, "pair_normalizer", lambda *args: None)
     panel, _ = generate_panel(homogeneous_spec(4, 40, 2, seed=1))
     with pytest.raises(
@@ -339,7 +362,8 @@ def test_both_units_degenerate_names_unit_i(monkeypatch):
     message = r"^pair \(0, 1\): covariance of unit 0 is degenerate$"
     with pytest.raises(DegenerateCovarianceError, match=message):
         pair_normalizer(flat[0], flat[1])
-    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: flat)
+    sigmas = np.array([c.sigma for c in flat])
+    monkeypatch.setattr(multiscale, "_unit_sigmas", lambda *args: sigmas)
     panel, _ = generate_panel(homogeneous_spec(3, 40, 2, seed=1))
     with pytest.raises(DegenerateCovarianceError, match=message):
         build_normalizers(panel, KERN, HacConfig())
@@ -363,7 +387,8 @@ def test_verification_failure_named_by_both_paths(monkeypatch):
     message = r"^pair \(0, 1\): inverse square root failed verification$"
     with pytest.raises(DegenerateCovarianceError, match=message):
         pair_normalizer(covs[0], covs[1])
-    monkeypatch.setattr(multiscale, "long_run_covariances", lambda *args: covs)
+    sigmas = np.array(NEAR_SINGULAR)
+    monkeypatch.setattr(multiscale, "_unit_sigmas", lambda *args: sigmas)
     panel, _ = generate_panel(homogeneous_spec(2, 40, 3, seed=1))
     with pytest.raises(DegenerateCovarianceError, match=message):
         build_normalizers(panel, KERN, HacConfig())
@@ -375,3 +400,25 @@ def test_pair_normalizer_dimension_mismatch():
     b = LongRunCov(unit=1, sigma=np.eye(3))
     with pytest.raises(ValueError, match=r"^pair \(0, 1\): dimension mismatch$"):
         pair_normalizer(a, b)
+
+
+INVALID_SIGMAS = [
+    (np.ones((2, 3)), r"^sigma must be square, got shape \(2, 3\)$"),
+    (np.array([[1.0, 0.5], [0.4, 1.0]]), r"^sigma must be symmetric$"),
+    (np.diag([1.0, -0.1]), r"^sigma must be positive semi-definite$"),
+]
+
+
+@pytest.mark.parametrize("sigma,message", INVALID_SIGMAS, ids=["square", "symmetric", "psd"])
+def test_long_run_cov_rejects_invalid_sigma(sigma, message):
+    with pytest.raises(ValueError, match=message):
+        LongRunCov(unit=0, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma,message", INVALID_SIGMAS[1:], ids=["symmetric", "psd"])
+def test_build_normalizers_rejects_one_invalid_unit(monkeypatch, sigma, message):
+    sigmas = np.array([np.eye(2), np.eye(2), sigma, np.eye(2)])
+    monkeypatch.setattr(multiscale, "_unit_sigmas", lambda *args: sigmas)
+    panel, _ = generate_panel(homogeneous_spec(4, 40, 2, seed=1))
+    with pytest.raises(ValueError, match=message):
+        build_normalizers(panel, KERN, HacConfig())

@@ -346,6 +346,7 @@ def test_stat_table_peak_below_two_tables():
         tracemalloc.stop()
     assert not table.s_hat.flags.writeable
     assert peak < 2 * table.s_hat.nbytes
+    assert table.lam is grid.lam
 
 
 def test_table_unchanged_by_later_writes_to_its_input():

@@ -23,11 +23,7 @@ from panelscale import (
     two_group_spec,
 )
 from panelscale import simulate
-from panelscale.simulate import (
-    curves_equal_on,
-    load_experiment_config,
-    run_from_config,
-)
+from panelscale.simulate import load_experiment_config, run_from_config
 
 import oracles
 
@@ -51,24 +47,32 @@ def test_bump_is_lipschitz():
     assert slope <= 4.0 * 3.0 / 0.2 + 1e-6
 
 
+def equal_on(a, b, lo, hi):
+    """One-interval call of the batched equality, checked against the oracle."""
+    got = simulate._equal_on_intervals(a, b, np.array([lo]), np.array([hi]))
+    assert got.shape == (1,)
+    assert bool(got[0]) == oracles.naive_curves_equal_on(a, b, lo, hi)
+    return bool(got[0])
+
+
 def test_curve_equality_structural():
     flat = Constant(0.0)
-    assert curves_equal_on(flat, Constant(0.0), 0.0, 1.0)
-    assert not curves_equal_on(flat, Constant(1.0), 0.0, 1.0)
-    assert curves_equal_on(flat, Linear(0.0, 0.0), 0.2, 0.8)
-    assert not curves_equal_on(flat, Linear(0.0, 0.1), 0.2, 0.8)
-    assert curves_equal_on(flat, Sine(amplitude=0.0, level=0.0), 0.0, 1.0)
-    assert not curves_equal_on(flat, Sine(amplitude=0.5), 0.1, 0.9)
+    assert equal_on(flat, Constant(0.0), 0.0, 1.0)
+    assert not equal_on(flat, Constant(1.0), 0.0, 1.0)
+    assert equal_on(flat, Linear(0.0, 0.0), 0.2, 0.8)
+    assert not equal_on(flat, Linear(0.0, 0.1), 0.2, 0.8)
+    assert equal_on(flat, Sine(amplitude=0.0, level=0.0), 0.0, 1.0)
+    assert not equal_on(flat, Sine(amplitude=0.5), 0.1, 0.9)
 
 
 def test_curve_equality_bump_support():
     bump = Bump(center=0.5, width=0.2, height=1.0)  # support (0.35, 0.65)
     flat = Constant(0.0)
-    assert curves_equal_on(bump, flat, 0.0, 0.35)   # touches the edge only
-    assert curves_equal_on(bump, flat, 0.65, 1.0)
-    assert not curves_equal_on(bump, flat, 0.3, 0.4)
-    assert not curves_equal_on(bump, flat, 0.45, 0.55)
-    assert curves_equal_on(bump, Bump(0.5, 0.2, 1.0), 0.0, 1.0)
+    assert equal_on(bump, flat, 0.0, 0.35)   # touches the edge only
+    assert equal_on(bump, flat, 0.65, 1.0)
+    assert not equal_on(bump, flat, 0.3, 0.4)
+    assert not equal_on(bump, flat, 0.45, 0.55)
+    assert equal_on(bump, Bump(0.5, 0.2, 1.0), 0.0, 1.0)
 
 
 def test_zero_noise_reproduces_signal():
