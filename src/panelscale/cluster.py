@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelFormatError
-from .multiscale import LocalStatTable
+from .multiscale import LocalStatTable, _row_blocks
 
 LINKAGES = ("complete", "single", "average")
 
@@ -74,8 +74,7 @@ def dissimilarity_matrix(table: LocalStatTable) -> Dissimilarity:
     if len(table.pairs) != n * (n - 1) // 2:
         raise ValueError("table must cover every unit pair")
     d = np.zeros((n, n))
-    best = (table.s_hat - table.lam[None, :]).max(axis=1)
-    for (i, j), value in zip(table.pairs, best):
+    for (i, j), value in zip(table.pairs, table.pair_max):
         d[i, j] = d[j, i] = value
     return Dissimilarity(d=d)
 
@@ -182,8 +181,11 @@ def group_difference_intervals(
     cross = lo != hi
     intervals = {}
     for key in sorted(set(zip(lo[cross].tolist(), hi[cross].tolist()))):
-        rows = (lo == key[0]) & (hi == key[1])
-        points = np.nonzero((table.s_hat[rows] > q_alpha).any(axis=0))[0]
+        rows = np.nonzero((lo == key[0]) & (hi == key[1]))[0]
+        hit = np.zeros(table.grid.n_points, dtype=bool)
+        for blk in _row_blocks(rows.size, table.grid.n_points):
+            hit |= (table.s_hat[rows[blk]] > q_alpha).any(axis=0)
+        points = np.nonzero(hit)[0]
         if points.size:
             u, h = table.grid.u[points], table.grid.h[points]
             hits = zip(u.tolist(), h.tolist(), (u - h).tolist(), (u + h).tolist())

@@ -13,7 +13,7 @@ design fails the condition guard are only recorded (fallback_points).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,13 +28,20 @@ from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
-# bytes of pair differences compute_stat_table holds at once
-_BLOCK_BYTES = 4 << 20
+# bytes of temporaries compute_stat_table and each reduction over a
+# LocalStatTable hold at once
+_BLOCK_BYTES = 1 << 20
 
 
 def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs i < j."""
     return tuple((i, j) for i in range(n_units) for j in range(i + 1, n_units))
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of at least one row each, at most _BLOCK_BYTES of float rows."""
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -51,7 +58,9 @@ class LocalStatTable:
 
     s_hat has shape (n_pairs, n_points); fallback_points lists grid indices
     whose design fails the condition guard, where only the kernel-sum form
-    of the statistic is defined.
+    of the statistic is defined. pair_max holds max over gridpoints of
+    s_hat - lam per pair, the one reduction psi, the dissimilarities and the
+    rejections read.
     """
 
     grid: Grid
@@ -59,6 +68,7 @@ class LocalStatTable:
     s_hat: np.ndarray
     lam: np.ndarray
     fallback_points: tuple[int, ...] = ()
+    pair_max: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s = np.asarray(self.s_hat, dtype=float)
@@ -70,10 +80,23 @@ class LocalStatTable:
             )
         if lam.shape != (self.grid.n_points,):
             raise ValueError("one lambda per gridpoint required")
-        if s.size and s.min() < 0.0:
-            raise ValueError("local statistics are max-norms and cannot be negative")
-        object.__setattr__(self, "s_hat", _frozen(s))
-        object.__setattr__(self, "lam", _frozen(lam))
+        if not np.isfinite(lam).all():
+            raise ValueError("lambda must be finite")
+        if s.size:
+            # min and max build no temporary; nan and inf fail isfinite
+            lo, hi = s.min(), s.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("local statistics must be finite")
+            if lo < 0.0:
+                raise ValueError("local statistics are max-norms and cannot be negative")
+        s, lam = _frozen(s), _frozen(lam)
+        pair_max = np.empty(s.shape[0])
+        for blk in _row_blocks(*s.shape):
+            np.max(s[blk] - lam, axis=1, out=pair_max[blk])
+        pair_max.setflags(write=False)
+        object.__setattr__(self, "s_hat", s)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "pair_max", pair_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +134,42 @@ def build_normalizers(
     return _pair_roots(sigmas, range(panel.n_units), i_idx, j_idx)
 
 
+def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
+    """(P, G) max-norms of normalizers[p] @ (a[i] - a[j]) for the sums a
+    (N, D, G), pairs in unit_pairs order. Its temporaries, the pair
+    differences and two rows a pair, stay within _BLOCK_BYTES (one pair at
+    the least) and go when it returns."""
+    N, D, G = a.shape
+    s_hat = np.empty((len(normalizers), G))
+    blocks = list(_row_blocks(len(s_hat), (D + 2) * G))
+    width = len(s_hat[blocks[0]])
+    diff_buf = np.empty((width, D, G))
+    row_buf, prod_buf = np.empty((width, G)), np.empty((width, G))
+    i, j = 0, 1  # the next pair
+    for blk in blocks:
+        out = s_hat[blk]
+        n = len(out)
+        diff, row, prod = diff_buf[:n], row_buf[:n], prod_buf[:n]
+        at = 0
+        while at < n:  # the block's pairs (i, j..j+k-1) of each first unit i
+            k = min(N - j, n - at)
+            np.subtract(a[i], a[j : j + k], out=diff[at : at + k])
+            at, j = at + k, j + k
+            if j == N:
+                i, j = i + 1, i + 2
+        nrm = normalizers[blk, :, :, None]
+        for d in range(D):
+            # terms added in the order e = 0, 1, ...
+            np.multiply(nrm[:, d, 0], diff[:, 0], out=row)
+            for e in range(1, D):
+                row += np.multiply(nrm[:, d, e], diff[:, e], out=prod)
+            if d == 0:
+                np.abs(row, out=out)
+            else:
+                np.maximum(out, np.abs(row, out=row), out=out)
+    return s_hat
+
+
 def compute_stat_table(
     panel: Panel,
     kernel: SmoothingKernel,
@@ -133,25 +192,8 @@ def compute_stat_table(
         )
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     ok = solve_mask(M)
-    i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
     a = np.ascontiguousarray(a.transpose(1, 2, 0))  # (N, D, G)
-    D, G = a.shape[1:]
-    s_hat = np.empty((len(pairs), G))
-    step = max(1, _BLOCK_BYTES // (8 * D * G))
-    for start in range(0, len(pairs), step):
-        blk = slice(start, start + step)
-        diff = a[i_idx[blk]] - a[j_idx[blk]]  # (pairs in the block, D, G)
-        nrm = normalizers[blk, :, :, None]
-        out = s_hat[blk]
-        for d in range(D):
-            # terms added in the order e = 0, 1, ...
-            row = nrm[:, d, 0] * diff[:, 0]
-            for e in range(1, D):
-                row += nrm[:, d, e] * diff[:, e]
-            if d == 0:
-                np.abs(row, out=out)
-            else:
-                np.maximum(out, np.abs(row, out=row), out=out)
+    s_hat = _pair_stats(a, normalizers)
     s_hat.setflags(write=False)  # the table keeps it without a copy
     return LocalStatTable(
         grid=grid,
@@ -201,24 +243,30 @@ def aggregate(table: LocalStatTable) -> float:
     """Max over pairs and gridpoints of the lambda-penalized statistics."""
     if table.s_hat.size == 0:
         raise ValueError("cannot aggregate an empty table")
-    return float((table.s_hat - table.lam[None, :]).max())
+    return float(table.pair_max.max())
 
 
 def _collect_rejections(table: LocalStatTable, q: float) -> tuple[Rejection, ...]:
-    exceed = table.s_hat - table.lam[None, :]
+    # only pairs whose max exceeds q have a cell that does
+    hot = np.nonzero(table.pair_max > q)[0]
     entries = []
-    for p, g in zip(*np.nonzero(exceed > q)):
-        i, j = table.pairs[p]
-        entries.append(
-            Rejection(
-                i=i,
-                j=j,
-                u=float(table.grid.u[g]),
-                h=float(table.grid.h[g]),
-                stat=float(table.s_hat[p, g]),
-                exceedance=float(exceed[p, g]),
+    for blk in _row_blocks(hot.size, table.grid.n_points):
+        rows = hot[blk]
+        exceed = table.s_hat[rows]
+        exceed -= table.lam
+        for k, g in zip(*np.nonzero(exceed > q)):
+            i, j = table.pairs[rows[k]]
+            entries.append(
+                Rejection(
+                    i=i,
+                    j=j,
+                    u=float(table.grid.u[g]),
+                    h=float(table.grid.h[g]),
+                    stat=float(table.s_hat[rows[k], g]),
+                    exceedance=float(exceed[k, g]),
+                )
             )
-        )
+        del exceed  # before the next block is gathered
     entries.sort(key=lambda r: (-r.exceedance, r.i, r.j, r.u, r.h))
     return tuple(entries)
 

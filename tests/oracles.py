@@ -258,6 +258,19 @@ def naive_dissimilarity(s_hat, lam, pairs, n) -> np.ndarray:
     return d
 
 
+def naive_rejections(s_hat, lam, pairs, us, hs, q):
+    """[(i, j, u, h, stat, exceedance)] for every cell with s - lambda > q,
+    by a loop over every pair and gridpoint, ordered by descending
+    exceedance, then i, j, u, h."""
+    out = []
+    for p, (i, j) in enumerate(pairs):
+        for g in range(s_hat.shape[1]):
+            exceed = s_hat[p, g] - lam[g]
+            if exceed > q:
+                out.append((i, j, float(us[g]), float(hs[g]), float(s_hat[p, g]), float(exceed)))
+    return sorted(out, key=lambda r: (-r[5], r[0], r[1], r[2], r[3]))
+
+
 def scipy_merge_heights(d: np.ndarray, method: str) -> np.ndarray:
     """Reference merge heights via scipy; a constant shift makes the matrix
     nonnegative (complete/single/average linkage are shift-equivariant)."""

@@ -365,3 +365,20 @@ def test_table_unchanged_by_later_writes_to_its_input():
     table = LocalStatTable(grid=grid, pairs=((0, 1),), s_hat=view, lam=lam)
     base[0, 0] = 9.0
     assert np.all(table.s_hat == 2.0)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.nan, "must be finite"),
+        (np.inf, "must be finite"),
+        (-0.5, "cannot be negative"),
+    ],
+)
+def test_table_rejects_non_finite_or_negative_statistics(bad, message):
+    grid = micro_grid()
+    lam = np.array([lambda_correction(h) for h in grid.h])
+    s = np.full((1, grid.n_points), 2.0)
+    s[0, 1] = bad
+    with pytest.raises(ValueError, match=message):
+        LocalStatTable(grid=grid, pairs=((0, 1),), s_hat=s, lam=lam)
