@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .errors import PanelFormatError, SingularDesignError
+
+# cells (rows x columns) of a CSV file held as Python strings at once while
+# panel_from_csv converts it
+_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +35,9 @@ class Panel:
     unit_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        # one fresh copy each, whatever the input's dtype
+        y = np.array(self.y, dtype=float)
+        x = np.array(self.x, dtype=float)
         if y.ndim != 2:
             raise PanelFormatError(f"y must be 2-D (N x T), got shape {y.shape}")
         if x.ndim != 2:
@@ -52,8 +58,6 @@ class Panel:
             )
         if len(set(self.unit_labels)) != len(self.unit_labels):
             raise PanelFormatError("unit labels must be distinct")
-        y = y.copy()
-        x = x.copy()
         y.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -134,27 +138,22 @@ def _parse_int(token: str, row: int, col: str) -> int:
         ) from None
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
-    """The stripped header and the data rows of a CSV file."""
+def _time_array(times: list[int]) -> np.ndarray:
+    """Times as int64, or as Python ints where one does not fit, so that an
+    out-of-range time stays a coverage fault rather than an overflow."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise PanelFormatError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise PanelFormatError(f"{path} is empty")
-    return [c.strip() for c in rows[0]], rows[1:]
+        return np.array(times, dtype=np.int64)
+    except OverflowError:
+        return np.array(times, dtype=object)
 
 
-def _convert(rows: list[list[str]], header: list[str], time_col: int, path):
-    """Time column as Python ints and the columns after it as one float array.
+def _convert(rows: list[list[str]], header: list[str], time_col: int, start: int, path):
+    """Time column as an array (see _time_array) and the columns after it as
+    one float array, for data rows that begin at file row ``start``.
 
-    Python ints keep an out-of-range time a coverage error rather than an
-    overflow. On failure the cells are re-read one by one, in file order, so
-    that the first bad row or cell is the one named.
+    On failure the cells are re-read one by one, in file order, so that the
+    first bad row or cell is the one named.
     """
-    if not rows:
-        raise PanelFormatError(f"{path}: no data rows")
     width, n = len(header), time_col + 1
     if all(len(row) == width for row in rows):
         try:
@@ -165,19 +164,38 @@ def _convert(rows: list[list[str]], header: list[str], time_col: int, path):
             pass
         else:
             if np.isfinite(values).all():
-                return times, values
+                return _time_array(times), values
     times, cells = [], []
-    for r, row in enumerate(rows, start=2):
+    for r, row in enumerate(rows, start=start):
         if len(row) != width:
             raise PanelFormatError(
                 f"{path}: row {r} has {len(row)} cells, expected {width}"
             )
         times.append(_parse_int(row[time_col], r, "time"))
         cells.append([_parse_float(c, r, col) for c, col in zip(row[n:], header[n:])])
-    return times, np.array(cells)
+    return _time_array(times), np.array(cells)
 
 
-def _from_long(header: list[str], rows: list[list[str]], path) -> Panel:
+def _read_chunks(rows, header: list[str], time_col: int, path):
+    """Convert the data rows in file order, in chunks of at most _CHUNK_CELLS
+    cells, so that the first cell fault in the file is the one raised.
+
+    Yields each chunk's first column (a long file's unit labels), times and
+    values; the chunk's other strings are freed before the next is read.
+    """
+    step = max(1, _CHUNK_CELLS // len(header))
+    start = 2
+    while chunk := list(islice(rows, step)):
+        times, values = _convert(chunk, header, time_col, start, path)
+        start += len(chunk)
+        first = [row[0] for row in chunk]
+        del chunk
+        yield first, times, values
+    if start == 2:
+        raise PanelFormatError(f"{path}: no data rows")
+
+
+def _from_long(header: list[str], rows, path) -> Panel:
     if header[:3] != ["unit", "time", "y"]:
         raise PanelFormatError(
             f"{path}: long layout header must start with unit,time,y; got {header[:3]}"
@@ -190,49 +208,76 @@ def _from_long(header: list[str], rows: list[list[str]], path) -> Panel:
         )
     if not x_cols:
         raise PanelFormatError(f"{path}: long layout needs at least one x column")
-    times, values = _convert(rows, header, 1, path)
 
-    first: dict[int, int] = {}  # time -> index of the first row at that time
-    firsts = [first.setdefault(t, k) for k, t in enumerate(times)]
-    differ = (values[firsts, 1:] != values[:, 1:]).any(axis=1).tolist()
-    data: dict[str, dict[int, int]] = {}  # unit -> time -> row index
-    for k, (row, t) in enumerate(zip(rows, times)):
-        unit = row[0].strip()
-        if unit == "":
+    units: dict[str, int] = {}  # label -> code, in order of first appearance
+    code_of: dict[str, int] = {}  # raw cell -> code, so each is stripped once
+    # the distinct times so far, sorted, and the covariates of the first row
+    # at each: rows are checked against them chunk by chunk, so no row's
+    # covariates outlive its chunk
+    known, x = np.empty(0, dtype=np.int64), np.empty((0, len(x_cols)))
+    codes, times, y, differ = [], [], [], []
+    for raw, t, v in _read_chunks(rows, header, 1, path):
+        for cell in dict.fromkeys(raw):
+            if cell not in code_of:
+                code_of[cell] = units.setdefault(cell.strip(), len(units))
+        codes.append(np.fromiter(map(code_of.__getitem__, raw), np.intp, len(raw)))
+        times.append(t)
+        y.append(v[:, 0].copy())
+        known, first, rank = np.unique(
+            np.concatenate([known, t]), return_index=True, return_inverse=True
+        )
+        x = np.concatenate([x, v[:, 1:]])[first]
+        differ.append((x[rank[-len(t):]] != v[:, 1:]).any(axis=1))
+    codes, times, y, differ = map(np.concatenate, (codes, times, y, differ))
+    labels = tuple(units)
+
+    # the first faulty row in file order; a stable sort finds the rows whose
+    # (unit, time) an earlier row already has
+    _, keyed = np.unique(
+        codes * len(known) + np.searchsorted(known, times), return_index=True
+    )
+    duplicate = np.ones(len(codes), dtype=bool)
+    duplicate[keyed] = False
+    empty = units.get("", -1)
+    fault = (codes == empty) | duplicate | differ
+    if fault.any():
+        k = int(fault.argmax())
+        if codes[k] == empty:
             raise PanelFormatError(f"{path}: empty unit label in row {k + 2}")
-        at = data.setdefault(unit, {})
-        if t in at:
+        if duplicate[k]:
             raise PanelFormatError(
-                f"{path}: duplicate (unit={unit}, time={t}) at row {k + 2}"
+                f"{path}: duplicate (unit={labels[codes[k]]}, time={times[k]}) "
+                f"at row {k + 2}"
             )
-        at[t] = k
-        if differ[k]:
-            raise PanelFormatError(
-                f"{path}: covariates differ across units at time {t} (row {k + 2}); "
-                "covariates must be common to all units"
-            )
+        raise PanelFormatError(
+            f"{path}: covariates differ across units at time {times[k]} (row {k + 2}); "
+            "covariates must be common to all units"
+        )
 
-    units = list(data)
-    T = len(data[units[0]])
-    for u in units:
-        if len(data[u]) != T:
-            raise PanelFormatError(
-                f"{path}: ragged series: unit {units[0]!r} has {T} rows, "
-                f"unit {u!r} has {len(data[u])}"
-            )
-    span = list(range(1, T + 1))
-    for u in units:
-        if sorted(data[u]) != span:
-            raise PanelFormatError(
-                f"{path}: unit {u!r} does not cover a complete time sequence 1..{T}"
-            )
+    counts = np.bincount(codes)
+    T = int(counts[0])
+    ragged = np.flatnonzero(counts != T)
+    if ragged.size:
+        u = ragged[0]
+        raise PanelFormatError(
+            f"{path}: ragged series: unit {labels[0]!r} has {T} rows, "
+            f"unit {labels[u]!r} has {counts[u]}"
+        )
+    # T distinct times per unit cover 1..T exactly when none lies outside it
+    outside = (times < 1) | (times > T)
+    if outside.any():
+        raise PanelFormatError(
+            f"{path}: unit {labels[codes[outside].min()]!r} does not cover "
+            f"a complete time sequence 1..{T}"
+        )
 
-    y = values[[[data[u][t] for t in span] for u in units], 0]
-    x = values[[first[t] for t in span], 1:]
-    return Panel(y=y, x=x, unit_labels=tuple(units))
+    # known is now 1..T, so x holds the covariates at times 1..T
+    panel_y = np.empty((len(labels), T))
+    panel_y[codes, times - 1] = y
+    return Panel(y=panel_y, x=x, unit_labels=labels)
 
 
-def _from_wide(header: list[str], rows: list[list[str]], path) -> Panel:
+def _from_wide(header: list[str], rows, path) -> Panel:
     if not header or header[0] != "time":
         raise PanelFormatError(f"{path}: wide layout header must start with 'time'")
     y_cols = [c for c in header[1:] if c.startswith("y_")]
@@ -251,10 +296,14 @@ def _from_wide(header: list[str], rows: list[list[str]], path) -> Panel:
     labels = [c[2:] for c in y_cols]
     if len(set(labels)) != len(labels):
         raise PanelFormatError(f"{path}: duplicate unit labels in header")
-    times, values = _convert(rows, header, 0, path)
+    times, values = [], []
+    for _, t, v in _read_chunks(rows, header, 0, path):
+        times.append(t)
+        values.append(v)
+    values = np.concatenate(values)
 
     seen: dict[int, int] = {}  # time -> row index
-    for k, t in enumerate(times):
+    for k, t in enumerate(np.concatenate(times).tolist()):
         if t in seen:
             raise PanelFormatError(f"{path}: duplicate time {t} at row {k + 2}")
         seen[t] = k
@@ -268,12 +317,25 @@ def _from_wide(header: list[str], rows: list[list[str]], path) -> Panel:
 
 
 def panel_from_csv(path, layout: str = "long") -> Panel:
-    """Read a panel from CSV; unit order follows first appearance in the file."""
-    header, rows = _read_rows(path)
-    if layout == "long":
-        return _from_long(header, rows, path)
-    if layout == "wide":
-        return _from_wide(header, rows, path)
+    """Read a panel from CSV; unit order follows first appearance in the file.
+
+    The header is checked first; the data rows are then converted in chunks of
+    at most _CHUNK_CELLS cells, so the reader holds the panel's arrays and one
+    chunk of strings rather than the whole file.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise PanelFormatError(f"{path} is empty")
+            header = [c.strip() for c in header]
+            if layout == "long":
+                return _from_long(header, rows, path)
+            if layout == "wide":
+                return _from_wide(header, rows, path)
+    except OSError as exc:
+        raise PanelFormatError(f"cannot read {path}: {exc}") from exc
     raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
 
 
@@ -281,7 +343,7 @@ def panel_to_csv(panel: Panel, path, layout: str = "long") -> None:
     """Write a panel as CSV; exact inverse of panel_from_csv for both layouts."""
     if layout not in ("long", "wide"):
         raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
-    y = [[repr(v) for v in row] for row in panel.y.tolist()]
+    # y is turned into strings one unit (long) or one time (wide) at a time
     x = [[repr(v) for v in row] for row in panel.x.tolist()]
     D = panel.n_covariates
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -290,8 +352,8 @@ def panel_to_csv(panel: Panel, path, layout: str = "long") -> None:
             writer.writerow(["unit", "time", "y"] + [f"x{d + 1}" for d in range(D)])
             writer.writerows(
                 [label, t, yv] + xt
-                for label, ys in zip(panel.unit_labels, y)
-                for t, (yv, xt) in enumerate(zip(ys, x), start=1)
+                for label, ys in zip(panel.unit_labels, panel.y)
+                for t, (yv, xt) in enumerate(zip(map(repr, ys.tolist()), x), start=1)
             )
         else:
             writer.writerow(
@@ -300,7 +362,8 @@ def panel_to_csv(panel: Panel, path, layout: str = "long") -> None:
                 + [f"x_{d + 1}" for d in range(D)]
             )
             writer.writerows(
-                [t, *ys, *xt] for t, (ys, xt) in enumerate(zip(zip(*y), x), start=1)
+                [t, *map(repr, ys.tolist()), *xt]
+                for t, (ys, xt) in enumerate(zip(panel.y.T, x), start=1)
             )
 
 
