@@ -17,7 +17,6 @@ max_i S - min_i S per coordinate, O(N) rather than O(N^2).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import struct
@@ -183,32 +182,36 @@ def gaussian_critical_value(
     return critical_value(draws, alpha, seed=seed)
 
 
-# version 2: draws summed by window_sums; caches of version 1 are recomputed
-_CACHE_MAGIC = b"PSCV\x02"
+# version 3 keys by the exact parameter bytes, version 2 by their SHA-256,
+# and version 1 summed the draws another way: older caches are recomputed
+_CACHE_MAGIC = b"PSCV\x03"
 
 
 def draws_cache_key(
     T: int, N: int, D: int, grid: Grid, kernel: SmoothingKernel, B: int, seed: int
 ) -> bytes:
-    """SHA-256 over the exact parameter tuple that pins the draw distribution."""
-    hasher = hashlib.sha256()
-    hasher.update(struct.pack("<5q", T, N, D, B, seed))
-    hasher.update(kernel.kind.encode())
+    """The exact parameter tuple that pins the draw distribution, as bytes:
+    (T, N, D, B, seed), the kernel name, then the (t, s) lattice indices of
+    every grid point in order. No kernel name is a prefix of another, so
+    equal keys mean equal parameters: a cache hit needs no hash."""
+    parts = [struct.pack("<5q", T, N, D, B, seed), kernel.kind.encode()]
     for u, h in grid.points:
-        hasher.update(struct.pack("<2q", round(u * grid.T), round(h * grid.T)))
-    return hasher.digest()
+        parts.append(struct.pack("<2q", round(u * grid.T), round(h * grid.T)))
+    return b"".join(parts)
 
 
 def save_draws(path, key: bytes, draws: np.ndarray) -> None:
     """Write the draw cache through a temporary file in the same directory
     that then replaces the target: readers never see a partial file, and a
-    failed write leaves the previous cache in place."""
+    failed write leaves the previous cache in place. The layout is the
+    magic, the key's length and the key, the draw count and the draws."""
     draws = np.asarray(draws, dtype="<f8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".pscv-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)
+            fh.write(struct.pack("<Q", len(key)))
             fh.write(key)
             fh.write(struct.pack("<Q", draws.size))
             fh.write(draws.tobytes())
@@ -219,19 +222,18 @@ def save_draws(path, key: bytes, draws: np.ndarray) -> None:
 
 
 def load_draws(path, key: bytes) -> np.ndarray | None:
-    """Return cached draws when the file exists and the key matches, else None."""
+    """Return cached draws when the file exists, its key equals `key` byte
+    for byte and it holds every draw its header counts, else None."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError:
         return None
-    head = len(_CACHE_MAGIC) + 32 + 8
-    if len(blob) < head or blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
-        return None
-    if blob[len(_CACHE_MAGIC) : len(_CACHE_MAGIC) + 32] != key:
+    header = _CACHE_MAGIC + struct.pack("<Q", len(key)) + key
+    head = len(header) + 8
+    if len(blob) < head or not blob.startswith(header):
         return None
     (size,) = struct.unpack("<Q", blob[head - 8 : head])
-    data = np.frombuffer(blob[head:], dtype="<f8")
-    if data.size != size:
+    if len(blob) - head != 8 * size:
         return None
-    return data.copy()
+    return np.frombuffer(blob, dtype="<f8", offset=head).copy()

@@ -244,38 +244,42 @@ def _labels_from_curves(curves) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _ar1(rng: np.random.Generator, n: int, coef: float, stationary_sd: float) -> np.ndarray:
+def _ar1(z: np.ndarray, coef: float, stationary_sd: float) -> np.ndarray:
+    """AR(1) path from its own standard normals: z[0] starts it from the
+    stationary law and z[1:] are the innovations."""
     innov_sd = stationary_sd * np.sqrt(1.0 - coef * coef)
-    prev = float(rng.standard_normal() * stationary_sd)
-    shocks = rng.standard_normal(n - 1) * innov_sd
-    out = [prev]
-    for shock in shocks.tolist():  # Python floats: no numpy scalar per step
-        prev = coef * prev + shock
-        out.append(prev)
-    return np.array(out)
+    prev = float(z[0] * stationary_sd)
+    shocks = (z[1:] * innov_sd).tolist()  # Python floats: no numpy scalar per step
+    return np.array([prev] + [prev := coef * prev + shock for shock in shocks])
 
 
 def generate_panel(spec: DgpSpec) -> tuple[Panel, GroundTruth]:
     """Simulate Y_it = X_t' beta_i(t/T) + eps_it exactly; bit-reproducible."""
     rng = np.random.default_rng(spec.seed)
-    T, D = spec.n_time, spec.n_covariates
-    if spec.covariate_model == "intercept_plus_ar1":
+    T, D, N = spec.n_time, spec.n_covariates, spec.n_units
+    ar_covariates = spec.covariate_model == "intercept_plus_ar1"
+    n_x = T * (D - 1) if ar_covariates else T * D
+    # every normal of the panel in one call, in the order that one call per
+    # series draws them: the covariate columns, then each unit
+    z = rng.standard_normal(n_x + (N * T if spec.noise_sd > 0.0 else 0))
+    if ar_covariates:
         x = np.empty((T, D))
         x[:, 0] = 1.0
         for d in range(1, D):
-            x[:, d] = _ar1(rng, T, spec.cov_ar_coef, 1.0)
+            x[:, d] = _ar1(z[(d - 1) * T : d * T], spec.cov_ar_coef, 1.0)
     else:
-        x = rng.standard_normal((T, D))
+        x = z[:n_x].reshape(T, D)
     u = np.arange(1, T + 1, dtype=float) / T
-    y = np.empty((spec.n_units, T))
-    for i in range(spec.n_units):
+    y = np.empty((N, T))
+    for i in range(N):
         beta = np.column_stack([c.eval(u) for c in spec.curves[i]])
         signal = np.einsum("td,td->t", x, beta)
         if spec.noise_sd > 0.0:
+            z_i = z[n_x + i * T : n_x + (i + 1) * T]
             if spec.ar_coef == 0.0:
-                eps = rng.standard_normal(T) * spec.noise_sd
+                eps = z_i * spec.noise_sd
             else:
-                eps = _ar1(rng, T, spec.ar_coef, spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2))
+                eps = _ar1(z_i, spec.ar_coef, spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2))
         else:
             eps = np.zeros(T)
         y[i] = signal + eps

@@ -216,8 +216,8 @@ def naive_pair_gap(sums) -> np.ndarray:
 
 
 def naive_ar1(rng, n: int, coef: float, stationary_sd: float) -> np.ndarray:
-    """AR(1) path stepped with numpy scalar indexing; the same generator
-    calls in the same order as the package's generator."""
+    """AR(1) path stepped with numpy scalar indexing, drawing its start and
+    then its innovations from rng in two calls."""
     innov_sd = stationary_sd * np.sqrt(1.0 - coef * coef)
     out = np.empty(n)
     out[0] = rng.standard_normal() * stationary_sd
@@ -225,6 +225,36 @@ def naive_ar1(rng, n: int, coef: float, stationary_sd: float) -> np.ndarray:
     for t in range(1, n):
         out[t] = coef * out[t - 1] + shocks[t - 1]
     return out
+
+
+def naive_generate_panel(spec) -> Panel:
+    """The panel of a DgpSpec with one generator call per series (covariate
+    columns, then each unit) and AR(1) paths stepped by naive_ar1."""
+    rng = np.random.default_rng(spec.seed)
+    T, D = spec.n_time, spec.n_covariates
+    if spec.covariate_model == "intercept_plus_ar1":
+        x = np.empty((T, D))
+        x[:, 0] = 1.0
+        for d in range(1, D):
+            x[:, d] = naive_ar1(rng, T, spec.cov_ar_coef, 1.0)
+    else:
+        x = rng.standard_normal((T, D))
+    u = np.arange(1, T + 1, dtype=float) / T
+    y = np.empty((spec.n_units, T))
+    for i in range(spec.n_units):
+        beta = np.column_stack([c.eval(u) for c in spec.curves[i]])
+        signal = np.einsum("td,td->t", x, beta)
+        if spec.noise_sd > 0.0:
+            if spec.ar_coef == 0.0:
+                eps = rng.standard_normal(T) * spec.noise_sd
+            else:
+                sd = spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2)
+                eps = naive_ar1(rng, T, spec.ar_coef, sd)
+        else:
+            eps = np.zeros(T)
+        y[i] = signal + eps
+    labels = tuple(f"u{i + 1}" for i in range(spec.n_units))
+    return Panel(y=y, x=x, unit_labels=labels)
 
 
 def naive_quantile_ceiling(draws, alpha: float) -> float:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -11,6 +12,7 @@ import pytest
 
 import panelscale
 from panelscale import (
+    Grid,
     QuantileError,
     SmoothingKernel,
     build_grid_application,
@@ -295,6 +297,77 @@ def test_cache_of_older_format_recomputed(tmp_path):
     np.testing.assert_array_equal(
         cv.phi_draws, simulate_phi(100, 2, 1, grid, KERN, 150, seed=3)
     )
+
+
+def test_cache_key_is_the_exact_parameter_bytes():
+    grid = build_grid_custom(100, 10, [0.22, 0.25])
+    key = draws_cache_key(100, 3, 2, grid, KERN, 200, 9)
+    lattice = b"".join(struct.pack("<2q", t, s) for t, s in [
+        (round(u * 100), round(h * 100)) for u, h in grid.points
+    ])
+    assert key == struct.pack("<5q", 100, 3, 2, 200, 9) + b"epanechnikov" + lattice
+    assert len(lattice) == 16 * grid.n_points
+
+
+def test_cache_key_changes_with_every_parameter():
+    grid = build_grid_custom(100, 10, [0.22, 0.25])
+    reordered = Grid(
+        points=grid.points[::-1], T=grid.T, h_min=grid.h_min, h_max=grid.h_max
+    )
+    base = dict(T=100, N=3, D=2, grid=grid, kernel=KERN, B=200, seed=9)
+    changes = [
+        {}, {"T": 101}, {"N": 4}, {"D": 3}, {"B": 201}, {"seed": 10},
+        {"kernel": SmoothingKernel("biweight")}, {"grid": reordered},
+    ]
+    keys = {draws_cache_key(**{**base, **change}) for change in changes}
+    assert len(keys) == len(changes)
+
+
+def test_cache_needs_the_whole_key(tmp_path):
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    draws = np.arange(150, dtype=float)
+    path = tmp_path / "draws.bin"
+    save_draws(path, key, draws)
+    assert load_draws(path, key[:-1] + bytes([key[-1] ^ 1])) is None
+    assert load_draws(path, key[:-1]) is None
+    assert load_draws(path, key + b"\0") is None
+    np.testing.assert_array_equal(load_draws(path, key), draws)
+
+
+def test_truncated_cache_is_a_miss(tmp_path):
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    path = tmp_path / "draws.bin"
+    save_draws(path, key, np.arange(150, dtype=float))
+    blob = path.read_bytes()
+    head = len(critvals._CACHE_MAGIC) + 8 + len(key) + 8
+    # inside the magic, the key length, the key and the draw count, then
+    # draws cut short, by a whole draw and mid-draw
+    for size in (3, len(critvals._CACHE_MAGIC) + 4, head - 9, head - 1, head,
+                 len(blob) - 8, len(blob) - 3):
+        path.write_bytes(blob[:size])
+        assert load_draws(path, key) is None, size
+
+
+def test_cache_of_version_2_recomputed(tmp_path):
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    path = tmp_path / "cache.bin"
+    # the previous format: magic, SHA-256 of the same parameter bytes, count
+    stale = np.full(150, 7.0)
+    path.write_bytes(
+        b"PSCV\x02" + hashlib.sha256(key).digest() + struct.pack("<Q", 150)
+        + stale.tobytes()
+    )
+    assert load_draws(path, key) is None
+    cv = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
+    np.testing.assert_array_equal(
+        cv.phi_draws, simulate_phi(100, 2, 1, grid, KERN, 150, seed=3)
+    )
+    header = critvals._CACHE_MAGIC + struct.pack("<Q", len(key)) + key
+    assert path.read_bytes().startswith(header)
+    np.testing.assert_array_equal(load_draws(path, key), cv.phi_draws)
 
 
 def test_pivotality_signature():

@@ -1,0 +1,80 @@
+"""What a run loads: importing the CLI and a warm-cache cluster run need no
+OpenSSL (hashlib) and no thread pool (concurrent.futures, which also loads
+logging). Each probe runs in a fresh interpreter and compares sys.modules
+against the same interpreter's state before it imports panelscale, so
+modules that site .pth files load on some hosts do not count."""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import panelscale
+from panelscale._parallel import ordered_map
+
+FIXTURE = Path(__file__).parent / "data" / "planted_panel.csv"
+UNWANTED = {"hashlib", "_hashlib", "concurrent.futures"}
+
+PROBE = """\
+import json, sys
+before = set(sys.modules)
+{body}
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def _env() -> dict:
+    package_root = str(Path(panelscale.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PANELSCALE_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
+
+
+def _modules_added(body: str) -> set[str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(body=body)],
+        env=_env(), check=True, capture_output=True, text=True, timeout=300,
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_hashlib_or_thread_pool():
+    added = _modules_added("import panelscale.cli")
+    assert "panelscale.cli" in added
+    assert not added & UNWANTED, sorted(added & UNWANTED)
+
+
+def test_warm_cache_cluster_loads_no_hashlib_or_thread_pool(tmp_path):
+    cache = tmp_path / "crit.bin"
+    flags = ["--input", str(FIXTURE), "--B", "200", "--seed", "3",
+             "--threads", "1", "--crit-cache", str(cache)]
+    # simulating imports numpy.random, which loads OpenSSL through secrets,
+    # so the cache is written by an earlier process
+    subprocess.run(
+        [sys.executable, "-m", "panelscale.cli", "cluster", *flags,
+         "--out", str(tmp_path / "cold")],
+        env=_env(), check=True, capture_output=True, timeout=300,
+    )
+    argv = ["cluster", *flags, "--out", str(tmp_path / "warm")]
+    added = _modules_added(
+        "from panelscale.cli import main\n"
+        f"assert main({argv!r}) == 0"
+    )
+    assert not added & UNWANTED, sorted(added & UNWANTED)
+    for name in ("membership.csv", "dendrogram.json", "group_differences.csv"):
+        assert (tmp_path / "warm" / name).read_bytes() == (
+            tmp_path / "cold" / name
+        ).read_bytes()
+
+
+def test_ordered_map_with_workers_keeps_input_order():
+    # later items finish first, so the pool's completion order is reversed
+    def slow_square(k: int) -> int:
+        time.sleep(0.01 * (4 - k))
+        return k * k
+
+    assert ordered_map(slow_square, range(5), 2) == [0, 1, 4, 9, 16]

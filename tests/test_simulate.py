@@ -309,13 +309,31 @@ def test_run_from_config_smoke(tmp_path):
 
 
 @pytest.mark.parametrize("ar_coef", [0.3, 0.0])
-def test_generate_panel_matches_numpy_scalar_ar1(monkeypatch, ar_coef):
+def test_generate_panel_matches_numpy_scalar_ar1(ar_coef):
     spec = dataclasses.replace(
         homogeneous_spec(4, 300, 3, seed=21), ar_coef=ar_coef
     )
     assert spec.covariate_model == "intercept_plus_ar1"
     panel, _ = generate_panel(spec)
-    monkeypatch.setattr(simulate, "_ar1", oracles.naive_ar1)
-    ref, _ = generate_panel(spec)
+    ref = oracles.naive_generate_panel(spec)
     np.testing.assert_array_equal(panel.x, ref.x)
     np.testing.assert_array_equal(panel.y, ref.y)
+
+
+@pytest.mark.parametrize("covariate_model", ["intercept_plus_ar1", "iid_normal"])
+@pytest.mark.parametrize("noise_sd", [0.0, 1.0])
+@pytest.mark.parametrize("ar_coef", [0.0, 0.3, 0.6])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_generate_panel_matches_one_call_per_series(D, ar_coef, noise_sd, covariate_model):
+    # the panel's normals come from one generator call; the bits must be
+    # those of one call per series
+    spec = dataclasses.replace(
+        planted_bump_spec(3, 50, D, seed=7 + D, center=0.5, width=0.2, height=1.0,
+                          ar_coef=ar_coef, noise_sd=noise_sd),
+        covariate_model=covariate_model,
+    )
+    panel, _ = generate_panel(spec)
+    ref = oracles.naive_generate_panel(spec)
+    np.testing.assert_array_equal(panel.x, ref.x)
+    np.testing.assert_array_equal(panel.y, ref.y)
+    assert panel.unit_labels == ref.unit_labels
