@@ -74,8 +74,8 @@ def dissimilarity_matrix(table: LocalStatTable) -> Dissimilarity:
     if len(table.pairs) != n * (n - 1) // 2:
         raise ValueError("table must cover every unit pair")
     d = np.zeros((n, n))
-    for (i, j), value in zip(table.pairs, table.pair_max):
-        d[i, j] = d[j, i] = value
+    i, j = np.asarray(table.pairs).T
+    d[i, j] = d[j, i] = table.pair_max
     return Dissimilarity(d=d)
 
 

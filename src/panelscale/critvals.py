@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,7 +206,10 @@ def save_draws(path, key: bytes, draws: np.ndarray) -> None:
     magic, the key's length and the key, the draw count and the draws."""
     draws = np.asarray(draws, dtype="<f8")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".pscv-", suffix=".tmp", dir=directory)
+    tmp = os.path.join(directory, f".pscv-{os.urandom(8).hex()}.tmp")
+    # mode 0o666 less the umask, as open(path, "wb") would give
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(_CACHE_MAGIC)

@@ -28,8 +28,8 @@ from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
-# bytes of temporaries compute_stat_table and each reduction over a
-# LocalStatTable hold at once
+# bytes of temporaries compute_stat_table, each reduction over a
+# LocalStatTable and prune_minimal hold at once
 _BLOCK_BYTES = 1 << 20
 
 
@@ -136,27 +136,17 @@ def build_normalizers(
 
 def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
     """(P, G) max-norms of normalizers[p] @ (a[i] - a[j]) for the sums a
-    (N, D, G), pairs in unit_pairs order. Its temporaries, the pair
-    differences and two rows a pair, stay within _BLOCK_BYTES (one pair at
-    the least) and go when it returns."""
+    (N, D, G), pairs in unit_pairs order. Besides the pair index (16 bytes a
+    pair), its temporaries, a block's two gathered sums and two rows a pair,
+    stay within _BLOCK_BYTES (one pair at the least) and go when it returns."""
     N, D, G = a.shape
+    i_idx, j_idx = np.triu_indices(N, k=1)  # unit_pairs order
     s_hat = np.empty((len(normalizers), G))
-    blocks = list(_row_blocks(len(s_hat), (D + 2) * G))
-    width = len(s_hat[blocks[0]])
-    diff_buf = np.empty((width, D, G))
-    row_buf, prod_buf = np.empty((width, G)), np.empty((width, G))
-    i, j = 0, 1  # the next pair
-    for blk in blocks:
+    for blk in _row_blocks(len(s_hat), (2 * D + 2) * G):
         out = s_hat[blk]
-        n = len(out)
-        diff, row, prod = diff_buf[:n], row_buf[:n], prod_buf[:n]
-        at = 0
-        while at < n:  # the block's pairs (i, j..j+k-1) of each first unit i
-            k = min(N - j, n - at)
-            np.subtract(a[i], a[j : j + k], out=diff[at : at + k])
-            at, j = at + k, j + k
-            if j == N:
-                i, j = i + 1, i + 2
+        diff = a[i_idx[blk]]
+        diff -= a[j_idx[blk]]
+        row, prod = np.empty_like(out), np.empty_like(out)
         nrm = normalizers[blk, :, :, None]
         for d in range(D):
             # terms added in the order e = 0, 1, ...
@@ -273,22 +263,28 @@ def _collect_rejections(table: LocalStatTable, q: float) -> tuple[Rejection, ...
 
 def prune_minimal(rejections) -> tuple[Rejection, ...]:
     """Keep, per pair, only rejected intervals containing no other rejected
-    interval of the same pair."""
+    interval of the same pair, in input order. Inside and shorter are both
+    taken with a 1e-12 tolerance; each pair's intervals are compared among
+    themselves, in row blocks of at most _BLOCK_BYTES."""
     eps = 1e-12
-    kept = []
-    for r in rejections:
-        lo, hi = r.u - r.h, r.u + r.h
-        nested = False
-        for other in rejections:
-            if other is r or (other.i, other.j) != (r.i, r.j):
-                continue
-            olo, ohi = other.u - other.h, other.u + other.h
-            if olo >= lo - eps and ohi <= hi + eps and (ohi - olo) < (hi - lo) - eps:
-                nested = True
-                break
-        if not nested:
-            kept.append(r)
-    return tuple(kept)
+    rejections = tuple(rejections)
+    lo = np.array([r.u - r.h for r in rejections], dtype=float)
+    hi = np.array([r.u + r.h for r in rejections], dtype=float)
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for k, r in enumerate(rejections):
+        by_pair.setdefault((r.i, r.j), []).append(k)
+    keep = np.ones(len(rejections), dtype=bool)
+    for members in by_pair.values():
+        m = np.array(members)
+        plo, phi = lo[m], hi[m]
+        width = phi - plo
+        for blk in _row_blocks(m.size, m.size):
+            # [row, other]: other lies inside row and is strictly shorter
+            nested = plo >= plo[blk, None] - eps
+            nested &= phi <= phi[blk, None] + eps
+            nested &= width < width[blk, None] - eps
+            keep[m[blk]] = ~nested.any(axis=1)
+    return tuple(r for r, k in zip(rejections, keep) if k)
 
 
 def run_test(

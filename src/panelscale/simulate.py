@@ -105,10 +105,6 @@ class Bump:
     def taper(self) -> float:
         return self.width / 4.0
 
-    def support(self) -> tuple[float, float]:
-        half = self.width / 2.0 + self.taper
-        return (self.center - half, self.center + half)
-
     def eval(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         dist = np.abs(u - self.center) - self.width / 2.0

@@ -381,6 +381,26 @@ def naive_minimal_intervals(entries):
     return kept
 
 
+def naive_prune_minimal(rejections) -> tuple:
+    """O(R^2) reference for prune_minimal: every rejection is compared with
+    every other one, skipping other pairs only inside the inner loop."""
+    eps = 1e-12
+    kept = []
+    for r in rejections:
+        lo, hi = r.u - r.h, r.u + r.h
+        nested = False
+        for other in rejections:
+            if other is r or (other.i, other.j) != (r.i, r.j):
+                continue
+            olo, ohi = other.u - other.h, other.u + other.h
+            if olo >= lo - eps and ohi <= hi + eps and (ohi - olo) < (hi - lo) - eps:
+                nested = True
+                break
+        if not nested:
+            kept.append(r)
+    return tuple(kept)
+
+
 def riemann_kernel_integral(kind: str, n: int = 10001) -> tuple[float, float]:
     """Trapezoid integrals of K and K^2 on [-1, 1]."""
     zs = np.linspace(-1.0, 1.0, n)

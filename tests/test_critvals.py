@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -267,6 +268,20 @@ def test_draw_cache_failed_write_keeps_previous_file(tmp_path, monkeypatch):
         save_draws(path, key, draws[::-1])
     monkeypatch.undo()
     np.testing.assert_array_equal(load_draws(path, key), draws)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_draw_cache_mode_follows_umask(tmp_path, umask, mode):
+    # the mode open(path, "wb") gives, 0o666 less the umask
+    path = tmp_path / "draws.bin"
+    old = os.umask(umask)
+    try:
+        save_draws(path, b"key", np.arange(3.0))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    np.testing.assert_array_equal(load_draws(path, b"key"), np.arange(3.0))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["draws.bin"]
 
 

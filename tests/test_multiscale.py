@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -276,6 +278,58 @@ def test_prune_matches_containment_oracle():
     kept_keys = {((e.i, e.j), round(e.u - e.h, 12), round(e.u + e.h, 12)) for e in kept}
     oracle_keys = {(p, round(lo, 12), round(hi, 12)) for p, lo, hi in oracle_kept}
     assert kept_keys == oracle_keys
+
+
+def lattice_rejections(rng, n_pairs, per_pair, T=40):
+    """Intervals [u-h, u+h] with u, h on the 1/T lattice, shuffled across
+    pairs: at this density nested, touching and disjoint intervals all occur.
+    Every pair also gets an equal copy (a distinct object) of one interval,
+    one interval touching it and one nested in it."""
+    all_pairs = unit_pairs(21)  # 210 pairs
+    entries = []
+    for k in rng.choice(len(all_pairs), size=n_pairs, replace=False):
+        i, j = all_pairs[k]
+        t = rng.integers(4, T - 4, size=per_pair)
+        s = rng.integers(1, 4, size=per_pair)
+        entries += [rejection(i, j, a / T, b / T) for a, b in zip(t.tolist(), s.tolist())]
+        u, h = entries[-1].u, entries[-1].h
+        entries += [
+            rejection(i, j, u, h),
+            rejection(i, j, u + 2 * h, h),
+            rejection(i, j, u, h / 2),
+        ]
+    rng.shuffle(entries)
+    return entries
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_prune_equals_all_pairs_scan(monkeypatch, block_rows):
+    entries = lattice_rejections(np.random.default_rng(13), n_pairs=4, per_pair=30)
+    if block_rows is not None:
+        # each pair has 33 intervals: its comparisons split into row blocks
+        monkeypatch.setattr(multiscale, "_BLOCK_BYTES", block_rows * 8 * 33)
+    kept = prune_minimal(entries)
+    ref = oracles.naive_prune_minimal(entries)
+    assert len(ref) < len(entries)
+    assert len(kept) == len(ref) and all(a is b for a, b in zip(kept, ref))
+    gen = prune_minimal(r for r in entries)
+    assert len(gen) == len(ref) and all(a is b for a, b in zip(gen, ref))
+
+
+def test_prune_empty_input():
+    assert prune_minimal(()) == () and prune_minimal([]) == ()
+    assert prune_minimal(r for r in ()) == ()
+
+
+def test_prune_scales_with_each_pairs_rejections():
+    # 200 pairs x 60 intervals: an all-rejections scan compares 1.4e8 pairs
+    rng = np.random.default_rng(14)
+    entries = lattice_rejections(rng, n_pairs=200, per_pair=57, T=500)
+    assert len(entries) == 12_000
+    start = time.perf_counter()
+    kept = prune_minimal(entries)
+    assert time.perf_counter() - start < 5.0
+    assert 200 <= len(kept) < len(entries)
 
 
 def test_fallback_on_singular_gridpoint():

@@ -10,6 +10,7 @@ import pytest
 
 from panelscale import (
     LocalStatTable,
+    Rejection,
     SmoothingKernel,
     aggregate,
     build_grid_application,
@@ -19,6 +20,7 @@ from panelscale import (
     group_difference_intervals,
     hac_cluster,
     homogeneous_spec,
+    prune_minimal,
     select_k,
     unit_pairs,
 )
@@ -130,3 +132,16 @@ def test_stat_table_peak_within_table_sums_and_two_blocks():
     peak = traced_peak(lambda: compute_stat_table(panel, KERN, grid, normalizers))
     s_bytes = len(normalizers) * grid.n_points * 8
     assert peak < s_bytes + a.nbytes + 2 * multiscale._BLOCK_BYTES
+
+
+def test_prune_peak_within_two_blocks():
+    # one pair rejected at every gridpoint of the T=1000 grid
+    grid = build_grid_application(1000)
+    entries = tuple(
+        Rejection(i=0, j=1, u=u, h=h, stat=1.0, exceedance=1.0) for u, h in grid.points
+    )
+    assert len(entries) == 3900
+    assert 0 < len(prune_minimal(entries)) < len(entries)
+    peak = traced_peak(lambda: prune_minimal(entries))
+    # the pair's (3900, 3900) comparison alone would be 15 MB as booleans
+    assert peak < 2 * multiscale._BLOCK_BYTES + 128 * len(entries), peak
