@@ -33,6 +33,13 @@ from .panel import Panel
 # seed of the Gaussian draws behind the critical value every replication shares
 _CRIT_SEED = 1_234_567
 
+# multiply-adds of one replication's kernel sums, G*T*(N*D + D^2), from which
+# replications are spread over threads. Below it a replication is mostly small
+# NumPy calls that hold the GIL, so threads contend instead of overlapping: on
+# 2 vCPUs with 1 BLAS thread, 2 workers were slower at 2.9 M (20, 300, 2) and
+# faster from 5.2 M (5, 500, 2) on.
+_THREADED_REPLICATION_OPS = 4_000_000
+
 # ---------------------------------------------------------------------------
 # coefficient curves
 
@@ -379,14 +386,18 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
     return start, grid, crit
 
 
-def _replicate(spec: DgpSpec, R: int, n_workers: int, outcome) -> list:
-    """outcome(panel) for R panels drawn from spec, in replication order."""
+def _replicate(spec: DgpSpec, R: int, grid: Grid, n_workers: int, outcome) -> list:
+    """outcome(panel) for R panels drawn from spec, in replication order; on
+    n_workers threads only when one replication is large enough to pay."""
 
     def one(seed: int):
         panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
         return outcome(panel)
 
-    return ordered_map(one, _replication_seeds(spec.seed, R), n_workers)
+    N, T, D = spec.n_units, spec.n_time, spec.n_covariates
+    ops = grid.n_points * T * (N * D + D * D)
+    workers = n_workers if ops >= _THREADED_REPLICATION_OPS else 1
+    return ordered_map(one, _replication_seeds(spec.seed, R), workers)
 
 
 def _report(experiment: str, spec: DgpSpec, R: int, alpha: float, B: int,
@@ -420,7 +431,7 @@ def run_size_experiment(
     def outcome(panel: Panel) -> bool:
         return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
 
-    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "size", spec, R, alpha, B, start, crit,
         rejection_rate=rate, rejection_se=binomial_se(rate, R),
@@ -464,7 +475,7 @@ def run_power_experiment(
             named = any((r.i, r.j) in hetero for r in result.rejections)
             return result.reject_global, named
 
-        outcomes = _replicate(scaled, R, n_workers, outcome)
+        outcomes = _replicate(scaled, R, grid, n_workers, outcome)
         rate = float(np.mean([o[0] for o in outcomes]))
         power_curve.append(
             {
@@ -503,7 +514,7 @@ def run_fwer_experiment(
         result = run_test(panel, kernel, grid, hac, alpha, crit)
         return any((r.i, r.j, (r.u, r.h)) in true_nulls for r in result.rejections)
 
-    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "fwer", spec, R, alpha, B, start, crit,
         extras={"n_true_nulls": int(m0.sum())},
@@ -535,7 +546,7 @@ def run_cluster_experiment(
         result = select_k(hac_cluster(d, "complete"), d, crit.q)
         return _partition(result.membership) == target
 
-    rate = float(np.mean(_replicate(spec, R, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "cluster", spec, R, alpha, B, start, crit,
         extras={"k_true": len(target)},

@@ -16,6 +16,7 @@ from panelscale import (
     homogeneous_spec,
     mixed_heterogeneity_spec,
     planted_bump_spec,
+    run_cluster_experiment,
     run_fwer_experiment,
     run_power_experiment,
     run_size_experiment,
@@ -264,6 +265,49 @@ def test_experiment_reproducible():
     )
     assert a.rejection_rate == b.rejection_rate
     assert a.extras["q_alpha"] == b.extras["q_alpha"]
+
+
+def _record_workers(monkeypatch) -> list[int]:
+    """Record the worker count of every replication fan-out, then run it."""
+    seen: list[int] = []
+    real = simulate.ordered_map
+
+    def recorder(task, items, n_workers):
+        seen.append(n_workers)
+        return real(task, items, n_workers)
+
+    monkeypatch.setattr(simulate, "ordered_map", recorder)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "shape, expected",
+    [((5, 300, 2), 1), ((5, 500, 2), 3)],
+    ids=["paper-shape-serial", "above-crossover-threaded"],
+)
+def test_replications_use_threads_only_above_the_crossover(monkeypatch, shape, expected):
+    # one replication's kernel sums at the application grid: 0.9 M
+    # multiply-adds at (5, 300, 2), 5.2 M at (5, 500, 2)
+    seen = _record_workers(monkeypatch)
+    run_size_experiment(homogeneous_spec(*shape, seed=2), alpha=0.5, B=100, R=2,
+                        n_workers=3)
+    assert seen == [expected]
+
+
+def test_threaded_replications_match_serial(monkeypatch):
+    # the tiny shapes above never reach the thread pool; force it
+    monkeypatch.setattr(simulate, "_THREADED_REPLICATION_OPS", 0)
+    seen = _record_workers(monkeypatch)
+    size_spec = homogeneous_spec(N=3, T=100, D=1, seed=31)
+    cluster_spec = two_group_spec(T=100, D=1, seed=32, height=3.0, group_sizes=(2, 2))
+    for run, spec in ((run_size_experiment, size_spec),
+                      (run_cluster_experiment, cluster_spec)):
+        serial, threaded = (
+            run(spec, alpha=0.5, B=120, R=6, grid=smoke_grid(100), n_workers=w)
+            for w in (1, 4)
+        )
+        assert threaded.to_dict() == serial.to_dict()
+    assert seen == [1, 4, 1, 4]
 
 
 def test_config_parser(tmp_path):
