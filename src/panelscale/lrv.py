@@ -3,14 +3,15 @@
 Sigma_i is estimated from v_it = X_t * residual_it by the fixed-bandwidth
 kernel HAC formula
 
-    Sigma_hat = T/(T-D) * sum_l kappa(l/chi) * Gamma_hat(l),
+    Sigma_hat = v' Omega v / (T-D),   Omega_ts = kappa(|t-s|/chi),
 
-with sample autocovariances Gamma_hat(l). Residuals come from a wide pilot
-local constant fit. The pilot design depends only on X, so one pilot fit
-(one design build, one guard and one solve) serves all units, and one
-batched HAC estimates every unit's Sigma as one (N, D, D) stack. One
-batched pass over that stack gives every pair's normalizer, the symmetric
-inverse square root of (Sigma_i + Sigma_j)/2.
+which equals T/(T-D) * sum_l kappa(l/chi) * Gamma_hat(l) over the sample
+autocovariances Gamma_hat(l); one FFT of v gives it, whatever the
+kernel. Residuals come from a wide pilot local constant fit. The pilot
+design depends only on X, so one pilot fit (one design build, one guard
+and one solve) serves all units, and one batched HAC estimates every unit's
+Sigma as one (N, D, D) stack. One batched pass over that stack gives every
+pair's normalizer, the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ class HacConfig:
                 f"unknown covariance kernel {self.cov_kernel!r}; "
                 f"choose {COV_KERNEL_KINDS}"
             )
-        if self.bandwidth is not None and not self.bandwidth >= 1.0:
-            raise ValueError(f"HAC bandwidth {self.bandwidth} must be >= 1")
+        chi = self.bandwidth
+        if chi is not None and not (math.isfinite(chi) and chi >= 1.0):
+            raise ValueError(f"HAC bandwidth {chi} must be finite and >= 1")
         if not 0.0 < self.pilot_bandwidth <= 0.5:
             raise ValueError(
                 f"pilot bandwidth {self.pilot_bandwidth} outside (0, 1/2]"
@@ -167,27 +169,23 @@ def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
 
 def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
     """HAC estimates for a stack of moment series v (N, T, D), shape
-    (N, D, D): one batched product per lag. Each unit's product is the BLAS
-    call a lone (T, D) series gets, so its estimate has the same bits."""
+    (N, D, D). Omega v is a circular convolution of the zero-padded series
+    over 2T periods, whose wrap-around reaches no t < T, so v' Omega v is the
+    spectrum g of Omega's first column weighting the series' spectrum F:
+    sum_k g_k Re(F_k^H F_k) / 2T (Parseval). Each unit's transform and
+    product are the calls a lone (T, D) series gets, so its estimate has the
+    same bits."""
     T, D = v.shape[1:]
     if T <= D:
         raise ValueError(f"need T > D, got T={T}, D={D}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v contains non-finite entries")
     chi = config.resolve_bandwidth(T)
-    lags = np.arange(T)
-    w = cov_kernel_weight(config.cov_kernel, lags / chi)
-    vt = np.swapaxes(v, 1, 2)
-    sigma = w[0] * (vt @ v) / T
-    for ell in range(1, T):
-        if w[ell] == 0.0:
-            # bartlett/parzen vanish beyond chi; quadratic_spectral never does
-            if config.cov_kernel in ("bartlett", "parzen"):
-                break
-            continue
-        gamma = (vt[:, :, ell:] @ v[:, :-ell]) / T
-        sigma += w[ell] * (gamma + np.swapaxes(gamma, 1, 2))
-    sigma *= T / (T - D)
+    w = cov_kernel_weight(config.cov_kernel, np.arange(T) / chi)
+    g = np.fft.rfft(np.concatenate([w, [0.0], w[:0:-1]])).real
+    g[1:-1] *= 2.0  # an inner frequency also stands for its conjugate
+    f = np.fft.rfft(v, 2 * T, axis=1)
+    sigma = (np.swapaxes(f.conj(), 1, 2) @ (g[:, None] * f)).real / (2 * T * (T - D))
     asym = np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2))
     limit = 1e-12 * np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
     bad = asym > limit

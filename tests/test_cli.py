@@ -91,6 +91,14 @@ def test_cmd_test_singular_pilot_exits_3(tmp_path, capsys):
     assert "(u=0.25, h=0.25)" in err
 
 
+def test_cmd_test_infinite_hac_bandwidth_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["test", "--input", str(FIXTURE), "--out", str(out), "--hac-bandwidth", "inf"]
+    assert main(argv + FAST) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (out / "result.json").exists()
+
+
 def test_cmd_test_missing_file(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["test", "--input", str(missing), "--out", str(tmp_path)] + FAST) == 2
@@ -250,8 +258,9 @@ def test_cmd_simulate_bytes_match_across_threads(tmp_path, config):
         "experiment = size\nN = 2\nR = -3\n" + SIM_TINY,
         "experiment = fwer\nN = 20\nR = 2\n" + SIM_TINY,
         "experiment = cluster\nN = 20\nR = 2\n" + SIM_TINY,
+        "experiment = size\nN = 2\nR = 3\nhac_bandwidth = inf\n" + SIM_TINY,
     ],
-    ids=["R0", "R-3", "fwer-N", "cluster-N"],
+    ids=["R0", "R-3", "fwer-N", "cluster-N", "hac-bandwidth-inf"],
 )
 def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
     cfg = tmp_path / "exp.cfg"

@@ -37,6 +37,8 @@ def test_default_bandwidth_rule():
 def test_config_validation():
     with pytest.raises(ValueError):
         HacConfig(bandwidth=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        HacConfig(bandwidth=float("inf"))
     with pytest.raises(ValueError):
         HacConfig(pilot_bandwidth=0.6)
     with pytest.raises(ValueError):
@@ -67,11 +69,15 @@ def test_constant_series_closed_form():
 @pytest.mark.parametrize("kind", ["bartlett", "parzen", "quadratic_spectral"])
 def test_hac_matches_naive_loops(kind):
     rng = np.random.default_rng(1)
+    cases = []
     for _ in range(4):
         T = int(rng.integers(10, 25))
         D = int(rng.integers(1, 3))
-        v = rng.standard_normal((T, D))
-        chi = float(rng.uniform(1.5, 6.0))
+        cases.append((rng.standard_normal((T, D)), float(rng.uniform(1.5, 6.0))))
+    # one long series: its far lags (every lag for quadratic_spectral) reach
+    # the edge of the 2T-periodic convolution
+    cases.append((rng.standard_normal((300, 2)), 75.0))
+    for v, chi in cases:
         got = hac_estimate(v, HacConfig(cov_kernel=kind, bandwidth=chi)).sigma
         ref = oracles.naive_hac(v, kind, chi)
         ref = 0.5 * (ref + ref.T)
@@ -174,21 +180,22 @@ def test_residuals_match_two_step_oracle():
     [
         HacConfig(),
         HacConfig(cov_kernel="quadratic_spectral", bandwidth=4.0, pilot_bandwidth=0.5),
+        HacConfig(cov_kernel="parzen", bandwidth=6.0),
     ],
 )
 def test_covariances_match_per_unit_residual_series(config):
-    # the one batched pilot fit must give each unit exactly what the
-    # per-unit public path gives
+    # the one batched pilot fit and HAC must give each unit exactly what the
+    # per-unit public path gives, with one covariate and with two
     rng = np.random.default_rng(11)
-    panel = Panel(
-        y=rng.standard_normal((4, 80)),
-        x=np.column_stack([np.ones(80), rng.standard_normal(80)]),
-        unit_labels=("a", "b", "c", "d"),
-    )
-    covs = long_run_covariances(panel, KERN, config)
-    for i in range(panel.n_units):
-        v = residual_series(panel, KERN, i, config.pilot_bandwidth)
-        np.testing.assert_array_equal(covs[i].sigma, hac_estimate(v, config).sigma)
+    y = rng.standard_normal((4, 80))
+    x = np.column_stack([np.ones(80), rng.standard_normal(80)])
+    for D in (1, 2):
+        panel = Panel(y=y, x=x[:, :D], unit_labels=("a", "b", "c", "d"))
+        covs = long_run_covariances(panel, KERN, config)
+        for i in range(panel.n_units):
+            v = residual_series(panel, KERN, i, config.pilot_bandwidth)
+            sigma = hac_estimate(v, config).sigma
+            np.testing.assert_array_equal(covs[i].sigma, sigma)
 
 
 def partly_zero_panel(T=100):
