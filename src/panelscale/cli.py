@@ -1,8 +1,11 @@
 """Command-line front end: test, cluster, simulate, preprocess.
 
 Exit codes: 0 success (regardless of the test outcome), 2 input problems,
-3 numerical degeneracy. Defaults can be overridden per flag via environment
-variables prefixed PANELSCALE_, e.g. PANELSCALE_ALPHA=0.01.
+3 numerical degeneracy. The defaults of --alpha, --B, --seed, --grid,
+--kernel, --hac-kernel, --hac-bandwidth, --pilot-h, --threads, --layout and
+--out can be overridden, in every subcommand that has the flag, by an
+environment variable named after it: PANELSCALE_ALPHA=0.01, PANELSCALE_OUT,
+PANELSCALE_HAC_KERNEL and so on. Other flags read no environment variable.
 """
 
 from __future__ import annotations
@@ -239,31 +242,31 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_rejections_csv(path: Path, result: TestResult) -> None:
+def _write_csv(path: Path, header: list, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["i", "j", "u", "h", "stat", "exceedance"])
-        for r in result.rejections:
-            writer.writerow(
-                [r.i, r.j, repr(r.u), repr(r.h), repr(r.stat), repr(r.exceedance)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def _emit_curves(out: Path, panel: Panel, grid: Grid, kernel: SmoothingKernel) -> None:
-    """Per-unit beta estimates over every gridpoint, for external plotting."""
+def _curve_files(panel: Panel, grid: Grid, kernel: SmoothingKernel) -> list:
+    """(file name, header, rows) of each unit's beta estimates over the grid,
+    for external plotting; the rows are formatted only as a file is written."""
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     beta = batched_beta(M, a, solve_mask(M))
+    header = ["u", "h"] + [f"beta_{d + 1}" for d in range(panel.n_covariates)]
+
+    def rows(i: int):
+        for g, (u, h) in enumerate(grid.points):
+            yield [repr(u), repr(h)] + [repr(float(v)) for v in beta[g, i]]
+
+    files = []
     for i, label in enumerate(panel.unit_labels):
-        path = out / f"curves_{label}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["u", "h"] + [f"beta_{d + 1}" for d in range(panel.n_covariates)]
-            )
-            for g, (u, h) in enumerate(grid.points):
-                writer.writerow(
-                    [repr(u), repr(h)] + [repr(float(v)) for v in beta[g, i]]
-                )
+        name = f"curves_{label}.csv"
+        if Path(name).name != name or "\0" in name:
+            raise PanelFormatError(f"unit label {label!r} cannot name a curves file")
+        files.append((name, header, rows(i)))
+    return files
 
 
 def cmd_test(args) -> int:
@@ -271,12 +274,20 @@ def cmd_test(args) -> int:
     result = run_test(
         panel, kernel, grid, _hac_config(args), args.alpha, crit, keep_minimal=True
     )
+    curves = _curve_files(panel, grid, kernel) if args.emit_plot_data else []
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "result.json", _result_payload(result, panel, grid, args))
-    _write_rejections_csv(out / "rejections.csv", result)
-    if args.emit_plot_data:
-        _emit_curves(out, panel, grid, kernel)
+    _write_csv(
+        out / "rejections.csv",
+        ["i", "j", "u", "h", "stat", "exceedance"],
+        (
+            [r.i, r.j, repr(r.u), repr(r.h), repr(r.stat), repr(r.exceedance)]
+            for r in result.rejections
+        ),
+    )
+    for name, header, rows in curves:
+        _write_csv(out / name, header, rows)
     verdict = "rejected" if result.reject_global else "not rejected"
     print(
         f"global homogeneity {verdict}: psi_hat={result.psi_hat:.6g} vs "
@@ -299,11 +310,11 @@ def cmd_cluster(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "membership.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["unit", "label"])
-        for label, group in zip(panel.unit_labels, result.membership):
-            writer.writerow([label, group])
+    _write_csv(
+        out / "membership.csv",
+        ["unit", "label"],
+        zip(panel.unit_labels, result.membership),
+    )
     _write_json(
         out / "dendrogram.json",
         {
@@ -315,12 +326,15 @@ def cmd_cluster(args) -> int:
             ],
         },
     )
-    with open(out / "group_differences.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group_a", "group_b", "u", "h", "interval_lo", "interval_hi"])
-        for (ka, kb), intervals in report.intervals.items():
-            for u, h, lo, hi in intervals:
-                writer.writerow([ka, kb, repr(u), repr(h), repr(lo), repr(hi)])
+    _write_csv(
+        out / "group_differences.csv",
+        ["group_a", "group_b", "u", "h", "interval_lo", "interval_hi"],
+        (
+            [ka, kb, repr(u), repr(h), repr(lo), repr(hi)]
+            for (ka, kb), intervals in report.intervals.items()
+            for u, h, lo, hi in intervals
+        ),
+    )
     print(f"k_hat={result.k_hat}; membership written for {panel.n_units} units")
     return EXIT_OK
 
@@ -330,8 +344,8 @@ def cmd_simulate(args) -> int:
     report = run_from_config(cfg, n_workers=args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.write_json(out / "report.json")
-    report.write_csv(out / "report.csv")
+    _write_json(out / "report.json", report.to_dict())
+    _write_csv(out / "report.csv", *report.csv_table())
     print(f"{report.experiment} experiment done in {report.runtime_seconds:.1f}s")
     return EXIT_OK
 
@@ -397,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="key = value experiment file")
-    p_sim.add_argument("--out", default=".", help="output directory")
+    p_sim.add_argument("--out", default=_env_default("OUT", "."), help="output directory")
     p_sim.add_argument("--threads", type=positive_int, default=_env_default("THREADS", 1))
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -13,9 +13,7 @@ kernel), so re-simulating per replication would change nothing but runtime.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -323,38 +321,22 @@ class ExperimentReport:
         out.pop("runtime_seconds", None)
         return out
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def write_csv(self, path) -> None:
-        rows = []
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """The header and rows of report.csv: one row per signal scale for a
+        power curve, else one (metric, value, se) row per rate present."""
         if self.power_curve:
             header = ["signal_scale", "rejection_rate", "se", "planted_pair_rate"]
-            for entry in self.power_curve:
-                rows.append(
-                    [
-                        entry["signal_scale"],
-                        entry["rejection_rate"],
-                        entry["se"],
-                        entry.get("planted_pair_rate", ""),
-                    ]
-                )
-        else:
-            header = ["metric", "value", "se"]
+            return header, [[e.get(k, "") for k in header] for e in self.power_curve]
+        rows = [
+            [name, getattr(self, name), getattr(self, se_name)]
             for name, se_name in (
                 ("rejection_rate", "rejection_se"),
                 ("fwer_estimate", "fwer_se"),
                 ("cluster_recovery_rate", "cluster_recovery_se"),
-            ):
-                value = getattr(self, name)
-                if value is not None:
-                    rows.append([name, value, getattr(self, se_name)])
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            )
+            if getattr(self, name) is not None
+        ]
+        return ["metric", "value", "se"], rows
 
 
 def binomial_se(rate: float, n: int) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -117,6 +118,34 @@ def test_cmd_test_emit_plot_data(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["u", "h", "beta_1"]
     assert len(rows) == 1 + 11  # application grid for T=100
+    # the curves are computed before any write and leave the other files alone
+    plain = tmp_path / "plain"
+    assert main(["test", "--input", str(FIXTURE), "--out", str(plain)] + FAST) == 0
+    for name in ("result.json", "rejections.csv"):
+        assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "US/CA",
+        pytest.param(
+            "a\0b",
+            marks=pytest.mark.skipif(
+                sys.version_info < (3, 11), reason="csv reads NUL from 3.11"
+            ),
+        ),
+    ],
+)
+def test_cmd_test_bad_curve_label_writes_nothing(tmp_path, capsys, label):
+    panel, _ = generate_panel(homogeneous_spec(N=2, T=100, D=1, seed=8))
+    path = tmp_path / "panel.csv"
+    panel_to_csv(Panel(y=panel.y, x=panel.x, unit_labels=(label, "b")), path, "long")
+    out = tmp_path / "out"
+    argv = ["test", "--input", str(path), "--out", str(out), "--emit-plot-data"]
+    assert main(argv + FAST) == 2
+    assert repr(label) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_test_deterministic_across_runs_and_threads(tmp_path):
@@ -252,6 +281,41 @@ def test_cmd_simulate_bytes_match_across_threads(tmp_path, config):
 
 
 @pytest.mark.parametrize(
+    "config, n_rows, expected",
+    [
+        (
+            "experiment = size\nN = 2\nR = 3\n",
+            2,
+            lambda r: [
+                ["metric", "value", "se"],
+                ["rejection_rate", r["rejection_rate"], r["rejection_se"]],
+            ],
+        ),
+        (
+            "experiment = power\nN = 2\nR = 6\nscales = 0.0,1.0\n",
+            3,
+            lambda r: [["signal_scale", "rejection_rate", "se", "planted_pair_rate"]]
+            + [
+                [e["signal_scale"], e["rejection_rate"], e["se"], e["planted_pair_rate"]]
+                for e in r["power_curve"]
+            ],
+        ),
+    ],
+    ids=["size", "power"],
+)
+def test_cmd_simulate_report_csv_matches_json(tmp_path, config, n_rows, expected):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config + SIM_TINY)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    with open(out / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == n_rows
+    assert rows == [[str(cell) for cell in row] for row in expected(report)]
+
+
+@pytest.mark.parametrize(
     "config",
     [
         "experiment = size\nN = 2\nR = 0\n" + SIM_TINY,
@@ -268,6 +332,18 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "report.json").exists()
+
+
+def test_cmd_simulate_out_from_env(tmp_path, monkeypatch):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = size\nN = 2\nR = 2\n" + SIM_TINY)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("PANELSCALE_OUT", str(tmp_path / "env_out"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert (tmp_path / "env_out" / "report.json").exists()
+    assert list(cwd.iterdir()) == []
 
 
 def test_hac_defaults_come_from_hac_config(monkeypatch):
