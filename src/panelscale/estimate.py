@@ -148,9 +148,11 @@ def solve_mask(M: np.ndarray) -> np.ndarray:
 
 
 def batched_beta(M: np.ndarray, a: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Coefficients beta[g, n] = M[g]^-1 a[g, n], shape (G, N, D); rows where
-    ~ok (the designs solve_mask rejects) are NaN and never solved."""
-    beta = np.full(a.shape, np.nan)
-    if np.any(ok):
-        beta[ok] = np.linalg.solve(M[ok][:, None, :, :], a[ok][:, :, :, None])[..., 0]
+    """Coefficients beta[g, n] = M[g]^-1 a[g, n], shape (G, N, D), from one
+    solve per point with the N units as its right-hand sides; rows where ~ok
+    (the designs solve_mask rejects) are NaN, their designs never solved: the
+    identity stands in for them."""
+    safe = np.where(ok[:, None, None], M, np.eye(M.shape[-1]))
+    beta = np.linalg.solve(safe, a.swapaxes(1, 2)).swapaxes(1, 2).copy()
+    beta[~ok] = np.nan
     return beta

@@ -16,6 +16,7 @@ pair's normalizer, the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,22 +124,32 @@ def _pilot_residuals(
     panel: Panel, kernel: SmoothingKernel, h_pilot: float
 ) -> np.ndarray:
     """residual_series for every unit at once, shape (N, T, D)."""
-    T = panel.n_time
     if not 0.0 < h_pilot <= 0.5:
         raise ValueError(f"pilot bandwidth {h_pilot} outside (0, 1/2]")
-    h_eff = max(1, round(h_pilot * T)) / T
-    t_over_T = np.arange(1, T + 1, dtype=float) / T
-    u_t = np.clip(t_over_T, h_eff, 1.0 - h_eff)
-    uniq, inverse = np.unique(u_t, return_inverse=True)
-    M, a = batched_designs(panel, kernel, uniq, np.full(uniq.shape, h_eff))
+    us, hs, inverse = _pilot_points(panel.n_time, h_pilot)
+    M, a = batched_designs(panel, kernel, us, hs)
     ok = solve_mask(M)
     if not np.all(ok):
         k = int(np.argmin(ok))
-        raise SingularDesignError(f"pilot design singular at (u={uniq[k]}, h={h_eff})")
+        raise SingularDesignError(f"pilot design singular at (u={us[k]}, h={hs[k]})")
     beta = batched_beta(M, a, ok)[inverse]  # (T, N, D)
     fitted = np.einsum("td,tnd->nt", panel.x, beta)
     eps = panel.y - fitted
     return panel.x[None, :, :] * eps[:, :, None]
+
+
+@functools.lru_cache(maxsize=4)
+def _pilot_points(T: int, h_pilot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pilot fit's distinct points (us, hs) and the index of each period's
+    point, read-only: u_t = t/T clamped to [h, 1 - h], h = h_pilot snapped to
+    the nearest 1/T lattice multiple."""
+    h_eff = max(1, round(h_pilot * T)) / T
+    t_over_T = np.arange(1, T + 1, dtype=float) / T
+    us, inverse = np.unique(np.clip(t_over_T, h_eff, 1.0 - h_eff), return_inverse=True)
+    hs = np.full(us.shape, h_eff)
+    for arr in (us, hs, inverse):
+        arr.setflags(write=False)
+    return us, hs, inverse
 
 
 def residual_series(
@@ -180,10 +191,7 @@ def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
         raise ValueError(f"need T > D, got T={T}, D={D}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v contains non-finite entries")
-    chi = config.resolve_bandwidth(T)
-    w = cov_kernel_weight(config.cov_kernel, np.arange(T) / chi)
-    g = np.fft.rfft(np.concatenate([w, [0.0], w[:0:-1]])).real
-    g[1:-1] *= 2.0  # an inner frequency also stands for its conjugate
+    g = _hac_spectrum(config.cov_kernel, config.resolve_bandwidth(T), T)
     f = np.fft.rfft(v, 2 * T, axis=1)
     sigma = (np.swapaxes(f.conj(), 1, 2) @ (g[:, None] * f)).real / (2 * T * (T - D))
     asym = np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2))
@@ -194,6 +202,16 @@ def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
             f"HAC estimate asymmetric beyond tolerance ({asym[np.argmax(bad)]:.3e})"
         )
     return 0.5 * (sigma + np.swapaxes(sigma, 1, 2))
+
+
+@functools.lru_cache(maxsize=4)
+def _hac_spectrum(kind: str, chi: float, T: int) -> np.ndarray:
+    """The spectrum g of _hac_sigmas' Omega over 2T periods, read-only."""
+    w = cov_kernel_weight(kind, np.arange(T) / chi)
+    g = np.fft.rfft(np.concatenate([w, [0.0], w[:0:-1]])).real
+    g[1:-1] *= 2.0  # an inner frequency also stands for its conjugate
+    g.setflags(write=False)
+    return g
 
 
 def _unit_sigmas(

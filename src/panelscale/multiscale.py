@@ -13,6 +13,7 @@ design fails the condition guard are only recorded (fallback_points).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,15 @@ _BLOCK_BYTES = 1 << 20
 def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
     """All ordered pairs i < j."""
     return tuple((i, j) for i in range(n_units) for j in range(i + 1, n_units))
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_index(n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit index arrays (i, j) of the pairs in unit_pairs order, read-only."""
+    i_idx, j_idx = np.triu_indices(n_units, k=1)
+    i_idx.setflags(write=False)
+    j_idx.setflags(write=False)
+    return i_idx, j_idx
 
 
 def _row_blocks(n_rows: int, n_cols: int):
@@ -130,8 +140,7 @@ def build_normalizers(
     Raises DegenerateCovarianceError naming the first pair that fails a check.
     """
     sigmas = _unit_sigmas(panel, kernel, config)
-    i_idx, j_idx = np.triu_indices(panel.n_units, k=1)  # unit_pairs order
-    return _pair_roots(sigmas, range(panel.n_units), i_idx, j_idx)
+    return _pair_roots(sigmas, range(panel.n_units), *_pair_index(panel.n_units))
 
 
 def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
@@ -140,7 +149,7 @@ def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
     pair), its temporaries, a block's two gathered sums and two rows a pair,
     stay within _BLOCK_BYTES (one pair at the least) and go when it returns."""
     N, D, G = a.shape
-    i_idx, j_idx = np.triu_indices(N, k=1)  # unit_pairs order
+    i_idx, j_idx = _pair_index(N)
     s_hat = np.empty((len(normalizers), G))
     for blk in _row_blocks(len(s_hat), (2 * D + 2) * G):
         out = s_hat[blk]

@@ -336,6 +336,8 @@ def panel_from_csv(path, layout: str = "long") -> Panel:
                 return _from_wide(header, rows, path)
     except OSError as exc:
         raise PanelFormatError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:  # only the reader raises it, so rows is bound
+        raise PanelFormatError(f"{path}: line {rows.line_num}: {exc}") from exc
     raise PanelFormatError(f"unknown layout {layout!r}; use 'long' or 'wide'")
 
 

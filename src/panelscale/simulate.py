@@ -14,6 +14,7 @@ kernel), so re-simulating per replication would change nothing but runtime.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -25,7 +26,13 @@ from .critvals import CriticalValue, gaussian_critical_value
 from .grid import Grid, build_grid_application
 from .kernels import SmoothingKernel
 from .lrv import HacConfig
-from .multiscale import build_normalizers, compute_stat_table, run_test, unit_pairs
+from .multiscale import (
+    _row_blocks,
+    build_normalizers,
+    compute_stat_table,
+    run_test,
+    unit_pairs,
+)
 from .panel import Panel
 
 # seed of the Gaussian draws behind the critical value every replication shares
@@ -245,49 +252,77 @@ def _labels_from_curves(curves) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def _ar1(z: np.ndarray, coef: float, stationary_sd: float) -> np.ndarray:
-    """AR(1) path from its own standard normals: z[0] starts it from the
-    stationary law and z[1:] are the innovations."""
-    innov_sd = stationary_sd * np.sqrt(1.0 - coef * coef)
-    prev = float(z[0] * stationary_sd)
-    shocks = (z[1:] * innov_sd).tolist()  # Python floats: no numpy scalar per step
-    return np.array([prev] + [prev := coef * prev + shock for shock in shocks])
+def _panel_blocks(spec: DgpSpec, seeds):
+    """The panels of spec under each of seeds, in order, a block at a time.
+
+    Yields (n, panel) per block of n seeds, where panel(b) builds the block's
+    b-th panel with the bits it has alone, until the next block is drawn into
+    the same buffer. A block's normals take at most _BLOCK_BYTES (one panel at
+    the least). Each seed's normals come from one generator call, in the order
+    that one call per series draws them: the covariate columns, then each
+    unit. Every AR(1) series of the block (covariate columns at stationary sd
+    1, then the units' errors) is stepped in place, in one loop over t: its
+    first normal starts it from the stationary law and the rest are its
+    innovations.
+    """
+    T, D, N = spec.n_time, spec.n_covariates, spec.n_units
+    ar_covariates = spec.covariate_model == "intercept_plus_ar1"
+    ar_noise = spec.noise_sd > 0.0 and spec.ar_coef != 0.0
+    n_x = T * (D - 1) if ar_covariates else T * D
+    n_z = n_x + (N * T if spec.noise_sd > 0.0 else 0)
+    coef, sd = [], []
+    if ar_covariates:
+        coef += [spec.cov_ar_coef] * (D - 1)
+        sd += [1.0] * (D - 1)
+    if ar_noise:
+        coef += [spec.ar_coef] * N
+        sd += [spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2)] * N
+    coef, sd = np.array(coef), np.array(sd)
+    first = 0 if ar_covariates else n_x  # the series lie end to end from here
+    u = np.arange(1, T + 1, dtype=float) / T
+    betas = [np.column_stack([c.eval(u) for c in curves]) for curves in spec.curves]
+    labels = tuple(f"u{i + 1}" for i in range(N))
+
+    def panel(z: np.ndarray, series: np.ndarray, b: int) -> Panel:
+        if ar_covariates:
+            x = np.empty((T, D))
+            x[:, 0] = 1.0
+            x[:, 1:] = series[b, : D - 1].T
+        else:
+            x = z[b, :n_x].reshape(T, D)
+        if ar_noise:
+            eps = series[b, coef.size - N :]
+        elif spec.noise_sd > 0.0:
+            eps = z[b, n_x:].reshape(N, T) * spec.noise_sd
+        else:
+            eps = np.zeros((N, T))
+        signal = np.array([np.einsum("td,td->t", x, beta) for beta in betas])
+        return Panel(y=signal + eps, x=x, unit_labels=labels)
+
+    buffer = None
+    for blk in _row_blocks(len(seeds), max(1, n_z)):
+        if buffer is None:
+            # the first block is the largest; one buffer for all of them kept
+            # peak RSS at (5,300,2) 1.2 MB below a fresh array per block
+            buffer = np.empty((len(seeds[blk]), n_z))
+        z = buffer[: len(seeds[blk])]
+        for row, seed in zip(z, seeds[blk]):
+            np.random.default_rng(seed).standard_normal(out=row)
+        # a view: the series are stepped where they were drawn
+        series = z[:, first : first + coef.size * T].reshape(len(z), coef.size, T)
+        series[:, :, 1:] *= (sd * np.sqrt(1.0 - coef * coef))[:, None]
+        series[:, :, 0] *= sd
+        for t in range(1, T):
+            # shock + coef * prev, one rounding each, as a scalar step
+            series[:, :, t] += coef * series[:, :, t - 1]
+        yield len(z), functools.partial(panel, z, series)
 
 
 def generate_panel(spec: DgpSpec) -> tuple[Panel, GroundTruth]:
     """Simulate Y_it = X_t' beta_i(t/T) + eps_it exactly; bit-reproducible."""
-    rng = np.random.default_rng(spec.seed)
-    T, D, N = spec.n_time, spec.n_covariates, spec.n_units
-    ar_covariates = spec.covariate_model == "intercept_plus_ar1"
-    n_x = T * (D - 1) if ar_covariates else T * D
-    # every normal of the panel in one call, in the order that one call per
-    # series draws them: the covariate columns, then each unit
-    z = rng.standard_normal(n_x + (N * T if spec.noise_sd > 0.0 else 0))
-    if ar_covariates:
-        x = np.empty((T, D))
-        x[:, 0] = 1.0
-        for d in range(1, D):
-            x[:, d] = _ar1(z[(d - 1) * T : d * T], spec.cov_ar_coef, 1.0)
-    else:
-        x = z[:n_x].reshape(T, D)
-    u = np.arange(1, T + 1, dtype=float) / T
-    y = np.empty((N, T))
-    for i in range(N):
-        beta = np.column_stack([c.eval(u) for c in spec.curves[i]])
-        signal = np.einsum("td,td->t", x, beta)
-        if spec.noise_sd > 0.0:
-            z_i = z[n_x + i * T : n_x + (i + 1) * T]
-            if spec.ar_coef == 0.0:
-                eps = z_i * spec.noise_sd
-            else:
-                eps = _ar1(z_i, spec.ar_coef, spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2))
-        else:
-            eps = np.zeros(T)
-        y[i] = signal + eps
-    labels = tuple(f"u{i + 1}" for i in range(spec.n_units))
-    panel = Panel(y=y, x=x, unit_labels=labels)
+    ((_, panel),) = _panel_blocks(spec, [spec.seed])
     truth = GroundTruth(curves=spec.curves, group_assignment=spec.group_assignment)
-    return panel, truth
+    return panel(0), truth
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +404,16 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
 
 
 def _replicate(spec: DgpSpec, R: int, grid: Grid, n_workers: int, outcome) -> list:
-    """outcome(panel) for R panels drawn from spec, in replication order; on
-    n_workers threads only when one replication is large enough to pay."""
-
-    def one(seed: int):
-        panel, _ = generate_panel(dataclasses.replace(spec, seed=seed))
-        return outcome(panel)
-
+    """outcome(panel) for R panels drawn from spec, in replication order; the
+    panels are generated a block at a time, the outcomes run on n_workers
+    threads only when one replication is large enough to pay."""
     N, T, D = spec.n_units, spec.n_time, spec.n_covariates
     ops = grid.n_points * T * (N * D + D * D)
     workers = n_workers if ops >= _THREADED_REPLICATION_OPS else 1
-    return ordered_map(one, _replication_seeds(spec.seed, R), workers)
+    outcomes = []
+    for n, panel in _panel_blocks(spec, _replication_seeds(spec.seed, R)):
+        outcomes += ordered_map(lambda b: outcome(panel(b)), range(n), workers)
+    return outcomes
 
 
 def _report(experiment: str, spec: DgpSpec, R: int, alpha: float, B: int,

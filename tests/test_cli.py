@@ -72,6 +72,16 @@ def test_cmd_test_malformed_csv(tmp_path):
     assert main(["test", "--input", str(bad), "--out", str(tmp_path)] + FAST) == 2
 
 
+def test_cmd_test_csv_reader_error_exits_2(tmp_path, capsys):
+    # a field over the csv module's field size limit (131072 characters)
+    bad = tmp_path / "huge_field.csv"
+    bad.write_text("unit,time,y,x1\nA,1,1.0,1.0\nA,2," + "9" * 200_000 + ",1.0\n")
+    assert main(["test", "--input", str(bad), "--out", str(tmp_path / "out")] + FAST) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line 3:" in err
+    assert "field larger than field limit" in err
+
+
 def test_cmd_test_singular_pilot_exits_3(tmp_path, capsys):
     # second covariate is zero over the first pilot window [0, 0.5]
     T = 100

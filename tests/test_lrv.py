@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import panelscale
 
 from panelscale import (
     DegenerateCovarianceError,
@@ -14,6 +21,7 @@ from panelscale import (
     pair_normalizer,
     residual_series,
 )
+from panelscale import lrv
 from panelscale.lrv import (
     _checked_min_eigs,
     cov_kernel_weight,
@@ -429,3 +437,72 @@ def test_build_normalizers_rejects_one_invalid_unit(monkeypatch, sigma, message)
     panel, _ = generate_panel(homogeneous_spec(4, 40, 2, seed=1))
     with pytest.raises(ValueError, match=message):
         build_normalizers(panel, KERN, HacConfig())
+
+
+
+@pytest.mark.parametrize(
+    "cached, args",
+    [
+        (lrv._pilot_points, (40, 0.25)),
+        (lrv._hac_spectrum, ("bartlett", 3.0, 40)),
+        (multiscale._pair_index, (6,)),
+    ],
+    ids=["pilot_points", "hac_spectrum", "pair_index"],
+)
+def test_per_shape_constants_shared_read_only(cached, args):
+    # every run_test of one shape gets the same arrays; none may be written
+    first = cached(*args)
+    assert cached(*args) is first
+    for arr in first if isinstance(first, tuple) else (first,):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+# units half..2*half-1 copy the responses of units 0..half-1; prints the
+# residuals' bytes in hex so that two BLAS thread counts can be compared
+EQUAL_UNITS_SCRIPT = """
+import sys
+import numpy as np
+from panelscale import HacConfig, Panel, SmoothingKernel, build_grid_application
+from panelscale.lrv import _pilot_residuals, _unit_sigmas
+from panelscale.multiscale import build_normalizers, compute_stat_table, unit_pairs
+
+N, T, D = map(int, sys.argv[1:])
+rng = np.random.default_rng(N * D)
+x = np.column_stack([np.ones(T), rng.standard_normal((T, D - 1))])
+y = rng.standard_normal((N, T))
+half = N // 2
+y[half : 2 * half] = y[:half]
+panel = Panel(y=y, x=x, unit_labels=[f"u{i}" for i in range(N)])
+kernel, config = SmoothingKernel(), HacConfig()
+v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
+sigmas = _unit_sigmas(panel, kernel, config)
+normalizers = build_normalizers(panel, kernel, config)
+table = compute_stat_table(panel, kernel, build_grid_application(T), normalizers)
+pairs = unit_pairs(N)
+for i in range(half):
+    assert np.array_equal(v[i], v[i + half]), i
+    assert np.array_equal(sigmas[i], sigmas[i + half]), i
+    assert not table.s_hat[pairs.index((i, i + half))].any(), i
+print(v.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("N,T,D", [(5, 300, 2), (50, 200, 4)])
+def test_equal_units_cancel_under_blas_threads(N, T, D):
+    # the pilot fit solves every unit against one factorization per point;
+    # units with equal responses must still get equal bits, whatever the
+    # solve's column position and the BLAS thread count
+    package_root = str(Path(panelscale.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", EQUAL_UNITS_SCRIPT, str(N), str(T), str(D)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

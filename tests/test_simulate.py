@@ -23,7 +23,7 @@ from panelscale import (
     separation_height,
     two_group_spec,
 )
-from panelscale import simulate
+from panelscale import multiscale, simulate
 from panelscale.simulate import load_experiment_config, run_from_config
 
 import oracles
@@ -368,16 +368,28 @@ def test_generate_panel_matches_numpy_scalar_ar1(ar_coef):
 @pytest.mark.parametrize("noise_sd", [0.0, 1.0])
 @pytest.mark.parametrize("ar_coef", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("D", [1, 2, 3])
-def test_generate_panel_matches_one_call_per_series(D, ar_coef, noise_sd, covariate_model):
-    # the panel's normals come from one generator call; the bits must be
-    # those of one call per series
+def test_generate_panel_matches_one_call_per_series(
+    D, ar_coef, noise_sd, covariate_model, monkeypatch
+):
+    # a block's normals come from one generator call per panel and its AR(1)
+    # series are stepped together; the bits must be those of one call per
+    # series, one panel at a time
     spec = dataclasses.replace(
         planted_bump_spec(3, 50, D, seed=7 + D, center=0.5, width=0.2, height=1.0,
                           ar_coef=ar_coef, noise_sd=noise_sd),
         covariate_model=covariate_model,
     )
-    panel, _ = generate_panel(spec)
-    ref = oracles.naive_generate_panel(spec)
-    np.testing.assert_array_equal(panel.x, ref.x)
-    np.testing.assert_array_equal(panel.y, ref.y)
-    assert panel.unit_labels == ref.unit_labels
+    n_x = 50 * (D - 1 if covariate_model == "intercept_plus_ar1" else D)
+    n_z = n_x + (3 * 50 if noise_sd > 0.0 else 0)
+    monkeypatch.setattr(multiscale, "_BLOCK_BYTES", 2 * 8 * max(1, n_z))
+    seeds = [spec.seed + r for r in range(5)]
+    blocks = [[panel(b) for b in range(n)] for n, panel in simulate._panel_blocks(spec, seeds)]
+    assert [len(b) for b in blocks] == [2, 2, 1]
+    for seed, panel in zip(seeds, [p for b in blocks for p in b]):
+        one = dataclasses.replace(spec, seed=seed)
+        ref = oracles.naive_generate_panel(one)
+        alone, _ = generate_panel(one)
+        for got in (panel, alone):
+            assert got.x.tobytes() == ref.x.tobytes()
+            assert got.y.tobytes() == ref.y.tobytes()
+            assert got.unit_labels == ref.unit_labels
