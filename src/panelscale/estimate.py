@@ -10,7 +10,7 @@ path; local_design, beta_hat and coefficient_curve wrap them.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,23 +118,24 @@ def batched_designs(
     return M, a
 
 
+_LIVE_WEIGHTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def _shared_weights(
     kernel: SmoothingKernel, T: int, us: np.ndarray, hs: np.ndarray
 ) -> np.ndarray:
-    """weights_matrix(kernel, T, us, hs), cached and read-only. A run_test
-    call needs two (its pilot fit and its grid), so a Monte Carlo run builds
-    each once, not once per replication."""
+    """weights_matrix(kernel, T, us, hs), read-only, and the same array for
+    every call while any caller holds it; it is freed with its last holder.
+    A Monte Carlo run holds its grid and pilot W, so it builds each once, not
+    once per replication; a single run_test frees each after its designs."""
     us = np.asarray(us, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    return _cached_weights(kernel, T, us.tobytes(), hs.tobytes())
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_weights(
-    kernel: SmoothingKernel, T: int, u_bytes: bytes, h_bytes: bytes
-) -> np.ndarray:
-    W = weights_matrix(kernel, T, np.frombuffer(u_bytes), np.frombuffer(h_bytes))
-    W.setflags(write=False)
+    key = (kernel, T, us.tobytes(), hs.tobytes())
+    W = _LIVE_WEIGHTS.get(key)
+    if W is None:
+        W = weights_matrix(kernel, T, us, hs)
+        W.setflags(write=False)
+        _LIVE_WEIGHTS[key] = W
     return W
 
 

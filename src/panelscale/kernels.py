@@ -39,14 +39,24 @@ def kernel_eval(kernel: SmoothingKernel, z):
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("kernel argument must be finite")
-    w = np.maximum(0.0, 1.0 - z * z)
-    if kernel.kind == "epanechnikov":
-        out = 0.75 * w
-    elif kernel.kind == "biweight":
-        out = (15.0 / 16.0) * w * w
-    else:  # triweight
-        out = (35.0 / 32.0) * w * w * w
+    out = _kernel_into(kernel.kind, z, np.empty_like(z))
     return out if out.ndim else float(out)
+
+
+def _kernel_into(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K(z) for finite z, written into out (which may be z itself) and
+    returned. Biweight and triweight allocate one more array of z's size."""
+    w = np.multiply(z, z, out=out)
+    np.subtract(1.0, w, out=w)
+    np.maximum(0.0, w, out=w)
+    if kind == "epanechnikov":
+        return np.multiply(0.75, w, out=w)
+    if kind == "biweight":
+        scaled = (15.0 / 16.0) * w
+    else:  # triweight
+        scaled = (35.0 / 32.0) * w
+        scaled *= w
+    return np.multiply(scaled, w, out=w)
 
 
 def check_point(u: float, h: float) -> None:
@@ -71,14 +81,22 @@ def weights_matrix(
     kernel: SmoothingKernel, T: int, u: np.ndarray, h: np.ndarray
 ) -> np.ndarray:
     """Kernel weights for many (u, h) points: row g is K((t/T - u_g)/h_g),
-    shape (len(u), T)."""
+    shape (len(u), T).
+
+    The weights are computed in one (len(u), T) array, plus a second for
+    biweight and triweight, with kernel_eval's bits.
+    """
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     t = np.arange(1, T + 1, dtype=float)
     # (t - uT)/(hT) rather than (t/T - u)/h: exact at support edges whenever
     # u and h sit on the 1/T lattice, so grid windows never leak past [u-h, u+h]
-    z = (t[None, :] - u[:, None] * T) / (h[:, None] * T)
-    return kernel_eval(kernel, z)
+    z = np.subtract(t[None, :], u[:, None] * T)
+    z /= h[:, None] * T
+    # each row is monotone in t, so it is finite wherever its two ends are
+    if not (np.all(np.isfinite(z[:, :1])) and np.all(np.isfinite(z[:, -1:]))):
+        raise ValueError("kernel argument must be finite")
+    return _kernel_into(kernel.kind, z, z)
 
 
 WINDOW_BLOCK = 256

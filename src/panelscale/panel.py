@@ -321,10 +321,11 @@ def panel_from_csv(path, layout: str = "long") -> Panel:
 
     The header is checked first; the data rows are then converted in chunks of
     at most _CHUNK_CELLS cells, so the reader holds the panel's arrays and one
-    chunk of strings rather than the whole file.
+    chunk of strings rather than the whole file. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = csv.reader(fh)
             header = next(rows, None)
             if header is None:

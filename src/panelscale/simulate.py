@@ -23,9 +23,10 @@ import numpy as np
 from ._parallel import ordered_map
 from .cluster import dissimilarity_matrix, hac_cluster, select_k
 from .critvals import CriticalValue, gaussian_critical_value
+from .estimate import _shared_weights
 from .grid import Grid, build_grid_application
 from .kernels import SmoothingKernel
-from .lrv import HacConfig
+from .lrv import HacConfig, _pilot_weights
 from .multiscale import (
     _row_blocks,
     build_normalizers,
@@ -403,16 +404,22 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
     return start, grid, crit
 
 
-def _replicate(spec: DgpSpec, R: int, grid: Grid, n_workers: int, outcome) -> list:
+def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
+               hac: HacConfig, n_workers: int, outcome) -> list:
     """outcome(panel) for R panels drawn from spec, in replication order; the
     panels are generated a block at a time, the outcomes run on n_workers
-    threads only when one replication is large enough to pay."""
+    threads only when one replication is large enough to pay. The grid and
+    pilot kernel weights are held for the whole run, so the replications
+    share one build of each."""
     N, T, D = spec.n_units, spec.n_time, spec.n_covariates
     ops = grid.n_points * T * (N * D + D * D)
     workers = n_workers if ops >= _THREADED_REPLICATION_OPS else 1
+    weights = (_shared_weights(kernel, T, grid.u, grid.h),
+               _pilot_weights(kernel, T, hac.pilot_bandwidth))
     outcomes = []
     for n, panel in _panel_blocks(spec, _replication_seeds(spec.seed, R)):
         outcomes += ordered_map(lambda b: outcome(panel(b)), range(n), workers)
+    del weights  # the last replication is done with them
     return outcomes
 
 
@@ -447,7 +454,7 @@ def run_size_experiment(
     def outcome(panel: Panel) -> bool:
         return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
 
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
     return _report(
         "size", spec, R, alpha, B, start, crit,
         rejection_rate=rate, rejection_se=binomial_se(rate, R),
@@ -491,7 +498,7 @@ def run_power_experiment(
             named = any((r.i, r.j) in hetero for r in result.rejections)
             return result.reject_global, named
 
-        outcomes = _replicate(scaled, R, grid, n_workers, outcome)
+        outcomes = _replicate(scaled, R, grid, kernel, hac, n_workers, outcome)
         rate = float(np.mean([o[0] for o in outcomes]))
         power_curve.append(
             {
@@ -530,7 +537,7 @@ def run_fwer_experiment(
         result = run_test(panel, kernel, grid, hac, alpha, crit)
         return any((r.i, r.j, (r.u, r.h)) in true_nulls for r in result.rejections)
 
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
     return _report(
         "fwer", spec, R, alpha, B, start, crit,
         extras={"n_true_nulls": int(m0.sum())},
@@ -562,7 +569,7 @@ def run_cluster_experiment(
         result = select_k(hac_cluster(d, "complete"), d, crit.q)
         return _partition(result.membership) == target
 
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
     return _report(
         "cluster", spec, R, alpha, B, start, crit,
         extras={"k_true": len(target)},

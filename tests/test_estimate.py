@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -7,7 +9,9 @@ from panelscale import (
     SingularDesignError,
     SmoothingKernel,
     beta_hat,
+    build_grid_application,
     coefficient_curve,
+    compute_stat_table,
     local_design,
 )
 from panelscale import estimate
@@ -205,14 +209,35 @@ def test_shared_weights_read_only_and_equal_to_weights_matrix():
         W[0, 0] = 1.0
 
 
-def test_shared_weights_cache_bounded():
-    bound = estimate._cached_weights.cache_info().maxsize
-    for T in range(20, 20 + 3 * bound):
-        estimate._shared_weights(KERN, T, np.array([0.5]), np.array([0.25]))
-        assert estimate._cached_weights.cache_info().currsize <= bound
+def test_shared_weights_freed_with_last_holder():
+    us, hs = np.array([0.5]), np.array([0.25])
+    W = estimate._shared_weights(KERN, 40, us, hs)
+    ref = weakref.ref(W)
     # a key differs by kernel, T, locations and bandwidths
-    W = estimate._shared_weights(KERN, 40, np.array([0.5]), np.array([0.25]))
-    other = estimate._shared_weights(
-        SmoothingKernel("biweight"), 40, np.array([0.5]), np.array([0.25])
+    for other in (
+        estimate._shared_weights(SmoothingKernel("biweight"), 40, us, hs),
+        estimate._shared_weights(KERN, 41, us, hs),
+        estimate._shared_weights(KERN, 40, np.array([0.4]), hs),
+        estimate._shared_weights(KERN, 40, us, np.array([0.2])),
+    ):
+        assert not np.array_equal(W, other)
+    del W, other
+    assert ref() is None
+
+
+def test_no_weights_alive_after_a_stat_table(monkeypatch):
+    built = []
+    real = estimate.weights_matrix
+
+    def tracked(*args):
+        W = real(*args)
+        built.append(weakref.ref(W))
+        return W
+
+    monkeypatch.setattr(estimate, "weights_matrix", tracked)
+    panel = random_panel(np.random.default_rng(40), N=3, T=100, D=2)
+    table = compute_stat_table(
+        panel, KERN, build_grid_application(100), np.broadcast_to(np.eye(2), (3, 2, 2))
     )
-    assert not np.array_equal(W, other)
+    assert table.s_hat.shape[0] == 3
+    assert len(built) == 1 and built[0]() is None

@@ -1,9 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from panelscale import SmoothingKernel, kernel_eval, kernel_weights, lambda_correction
+from panelscale import (
+    SmoothingKernel,
+    build_grid_application,
+    kernel_eval,
+    kernel_weights,
+    lambda_correction,
+)
 from panelscale.kernels import KERNEL_KINDS, weights_matrix, window_sums
 
 import oracles
@@ -84,6 +91,57 @@ def test_weights_matrix_rows_match_single_calls():
     W = weights_matrix(k, 37, us, hs)
     for row, (u, h) in zip(W, zip(us, hs)):
         np.testing.assert_array_equal(row, kernel_weights(k, 37, u, h))
+
+
+@pytest.mark.parametrize("T", [100, 300, 500])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_weights_matrix_is_kernel_eval_bit_for_bit(kind, T):
+    k = SmoothingKernel(kind)
+    grid = build_grid_application(T)
+    t = np.arange(1, T + 1, dtype=float)
+    z = (t[None, :] - grid.u[:, None] * T) / (grid.h[:, None] * T)
+    W = weights_matrix(k, T, grid.u, grid.h)
+    assert W.tobytes() == kernel_eval(k, z).tobytes()
+
+
+def test_kernel_eval_operation_order():
+    # the constant multiplies w first; c * (w * w) differs in the last bit
+    z = np.random.default_rng(15).uniform(-1.0, 1.0, 10_000)
+    w = np.maximum(0.0, 1.0 - z * z)
+    expected = {
+        "epanechnikov": 0.75 * w,
+        "biweight": ((15.0 / 16.0) * w) * w,
+        "triweight": (((35.0 / 32.0) * w) * w) * w,
+    }
+    for kind, ref in expected.items():
+        assert kernel_eval(SmoothingKernel(kind), z).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, arrays", [("epanechnikov", 1), ("biweight", 2), ("triweight", 2)]
+)
+def test_weights_matrix_allocates_one_array(kind, arrays):
+    # W is built in place: one (G, T) array, a second for the higher powers
+    T = 500
+    grid = build_grid_application(T)
+    k = SmoothingKernel(kind)
+    size = grid.n_points * T * 8
+    tracemalloc.start()
+    try:
+        W = weights_matrix(k, T, grid.u, grid.h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert W.nbytes == size
+    # beyond the arrays: the ufuncs' fixed broadcasting buffers (about 0.1 MiB)
+    assert peak <= arrays * size + 256 * 1024
+
+
+def test_weights_matrix_rejects_non_finite_arguments():
+    k = SmoothingKernel()
+    for u, h in ((0.5, 0.0), (np.nan, 0.2), (1e308, 0.2)):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            weights_matrix(k, 10, np.array([u]), np.array([h]))
 
 
 @pytest.mark.parametrize("shape", [(600, 5), (600, 1), (3, 600, 2), (3, 600, 1)])

@@ -1,5 +1,6 @@
 import csv
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from panelscale import (
     panel_from_csv,
     panel_to_csv,
 )
+
+FIXTURE = Path(__file__).parent / "data" / "planted_panel.csv"
 
 
 def write(tmp_path, text, name="panel.csv"):
@@ -103,6 +106,21 @@ def test_roundtrip_bit_identical(tmp_path, layout):
     np.testing.assert_array_equal(back.y, panel.y)
     np.testing.assert_array_equal(back.x, panel.x)
     assert back.unit_labels == panel.unit_labels
+
+
+@pytest.mark.parametrize("layout", ["long", "wide"])
+def test_byte_order_mark_skipped(tmp_path, layout):
+    # spreadsheet "CSV UTF-8" exports start the file with a byte-order mark
+    fixture = panel_from_csv(FIXTURE, "long")
+    plain = FIXTURE if layout == "long" else tmp_path / "wide.csv"
+    if layout == "wide":
+        panel_to_csv(fixture, plain, "wide")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    back = panel_from_csv(marked, layout)
+    assert bits(back.y) == bits(fixture.y)
+    assert bits(back.x) == bits(fixture.x)
+    assert back.unit_labels == fixture.unit_labels
 
 
 def test_single_unit_roundtrip_allowed(tmp_path):

@@ -9,6 +9,7 @@ from panelscale import (
     DgpSpec,
     Grid,
     GroundTruth,
+    HacConfig,
     Linear,
     Sine,
     build_grid_custom,
@@ -23,7 +24,7 @@ from panelscale import (
     separation_height,
     two_group_spec,
 )
-from panelscale import multiscale, simulate
+from panelscale import estimate, lrv, multiscale, simulate
 from panelscale.simulate import load_experiment_config, run_from_config
 
 import oracles
@@ -308,6 +309,27 @@ def test_threaded_replications_match_serial(monkeypatch):
         )
         assert threaded.to_dict() == serial.to_dict()
     assert seen == [1, 4, 1, 4]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_replications_share_one_build_of_each_weight_matrix(monkeypatch, n_workers):
+    # the run holds its grid and pilot W; its replications only look them up
+    monkeypatch.setattr(simulate, "_THREADED_REPLICATION_OPS", 0)
+    seen = _record_workers(monkeypatch)
+    built = []
+    real = estimate.weights_matrix
+
+    def counting(kernel, T, us, hs):
+        built.append(len(us))
+        return real(kernel, T, us, hs)
+
+    monkeypatch.setattr(estimate, "weights_matrix", counting)
+    grid = smoke_grid(100)
+    run_size_experiment(homogeneous_spec(N=3, T=100, D=1, seed=33), alpha=0.5,
+                        B=120, R=5, grid=grid, n_workers=n_workers)
+    pilot_points = len(lrv._pilot_points(100, HacConfig().pilot_bandwidth)[0])
+    assert seen == [n_workers]
+    assert sorted(built) == sorted([grid.n_points, pilot_points])
 
 
 def test_config_parser(tmp_path):
