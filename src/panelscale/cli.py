@@ -30,7 +30,6 @@ from .errors import (
     DegenerateCovarianceError,
     PanelFormatError,
     PanelScaleError,
-    QuantileError,
     SingularDesignError,
 )
 from .estimate import batched_beta, batched_designs, solve_mask
@@ -46,7 +45,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-_INPUT_ERRORS = (PanelFormatError, QuantileError, ValueError, OSError)
+_INPUT_ERRORS = (ValueError, OSError)
 _NUMERIC_ERRORS = (SingularDesignError, DegenerateCovarianceError, ArithmeticError)
 
 

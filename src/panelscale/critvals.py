@@ -128,6 +128,17 @@ def simulate_phi(
     return np.concatenate(ordered_map(one_block, starts, n_workers))
 
 
+def _check_quantile(alpha: float, B: int) -> None:
+    """alpha must lie in (0, 1) and B >= 1/alpha draws resolve its quantile."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha={alpha} outside (0, 1)")
+    if B < 1.0 / alpha:
+        raise QuantileError(
+            f"B={B} draws cannot resolve the {1 - alpha:.4f} quantile; "
+            f"need B >= {math.ceil(1.0 / alpha)}"
+        )
+
+
 def critical_value(
     draws: np.ndarray,
     alpha: float,
@@ -140,14 +151,8 @@ def critical_value(
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size == 0:
         raise ValueError("draws must be a nonempty vector")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha={alpha} outside (0, 1)")
     B = draws.size
-    if B < 1.0 / alpha:
-        raise QuantileError(
-            f"B={B} draws cannot resolve the {1 - alpha:.4f} quantile; "
-            f"need B >= {math.ceil(1.0 / alpha)}"
-        )
+    _check_quantile(alpha, B)
     # guard against float fuzz when (1-alpha)*B is mathematically an integer
     idx = max(1, math.ceil((1.0 - alpha) * B - 1e-9))
     q = float(np.sort(draws)[idx - 1])
@@ -166,7 +171,9 @@ def gaussian_critical_value(
     n_workers: int = 1,
     cache_path=None,
 ) -> CriticalValue:
-    """simulate_phi + critical_value, with optional draw caching."""
+    """simulate_phi + critical_value, with optional draw caching. alpha and
+    B are checked before any draw is made or read."""
+    _check_quantile(alpha, B)
     check_grid_T(grid, T)
     draws = None
     key = draws_cache_key(T, N, D, grid, kernel, B, seed)

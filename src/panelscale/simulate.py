@@ -264,18 +264,19 @@ def _panel_blocks(spec: DgpSpec, seeds):
     unit. Every AR(1) series of the block (covariate columns at stationary sd
     1, then the units' errors) is stepped in place, in one loop over t: its
     first normal starts it from the stationary law and the rest are its
-    innovations.
+    innovations. With coefficient 0 the step scales by sd*sqrt(1) = sd and
+    adds 0*prev, so i.i.d. errors keep the bits of normals times sd.
     """
     T, D, N = spec.n_time, spec.n_covariates, spec.n_units
     ar_covariates = spec.covariate_model == "intercept_plus_ar1"
-    ar_noise = spec.noise_sd > 0.0 and spec.ar_coef != 0.0
+    noisy = spec.noise_sd > 0.0
     n_x = T * (D - 1) if ar_covariates else T * D
-    n_z = n_x + (N * T if spec.noise_sd > 0.0 else 0)
+    n_z = n_x + (N * T if noisy else 0)
     coef, sd = [], []
     if ar_covariates:
         coef += [spec.cov_ar_coef] * (D - 1)
         sd += [1.0] * (D - 1)
-    if ar_noise:
+    if noisy:
         coef += [spec.ar_coef] * N
         sd += [spec.noise_sd / np.sqrt(1.0 - spec.ar_coef**2)] * N
     coef, sd = np.array(coef), np.array(sd)
@@ -291,12 +292,7 @@ def _panel_blocks(spec: DgpSpec, seeds):
             x[:, 1:] = series[b, : D - 1].T
         else:
             x = z[b, :n_x].reshape(T, D)
-        if ar_noise:
-            eps = series[b, coef.size - N :]
-        elif spec.noise_sd > 0.0:
-            eps = z[b, n_x:].reshape(N, T) * spec.noise_sd
-        else:
-            eps = np.zeros((N, T))
+        eps = series[b, coef.size - N :] if noisy else np.zeros((N, T))
         signal = np.array([np.einsum("td,td->t", x, beta) for beta in betas])
         return Panel(y=signal + eps, x=x, unit_labels=labels)
 
@@ -590,124 +586,98 @@ def _flat_curves(D: int) -> tuple[Curve, ...]:
     return tuple(Constant(0.0) for _ in range(D))
 
 
-def homogeneous_spec(N: int, T: int, D: int, seed: int, ar_coef: float = 0.3,
-                     noise_sd: float = 1.0) -> DgpSpec:
-    """All units share flat coefficient curves (global null holds)."""
+def _preset(curves, T: int, seed: int, ar_coef: float, noise_sd: float,
+            group_assignment: tuple[int, ...] | None = None) -> DgpSpec:
+    """The DgpSpec of one coefficient curve list per unit; N and D are read
+    off the curves (no units: DgpSpec refuses it)."""
     return DgpSpec(
-        n_units=N,
+        n_units=len(curves),
         n_time=T,
-        n_covariates=D,
-        curves=tuple(_flat_curves(D) for _ in range(N)),
-        seed=seed,
-        ar_coef=ar_coef,
-        noise_sd=noise_sd,
-    )
-
-
-def planted_bump_spec(
-    N: int,
-    T: int,
-    D: int,
-    seed: int,
-    center: float,
-    width: float,
-    height: float,
-    ar_coef: float = 0.3,
-    noise_sd: float = 1.0,
-) -> DgpSpec:
-    """Unit 0 deviates by a trapezoid bump on its first coordinate."""
-    curves = [list(_flat_curves(D)) for _ in range(N)]
-    curves[0][0] = Bump(center=center, width=width, height=height)
-    return DgpSpec(
-        n_units=N,
-        n_time=T,
-        n_covariates=D,
+        n_covariates=len(curves[0]) if curves else 0,
         curves=tuple(tuple(c) for c in curves),
         seed=seed,
         ar_coef=ar_coef,
         noise_sd=noise_sd,
+        group_assignment=group_assignment,
     )
 
 
-def mixed_heterogeneity_spec(
-    T: int,
-    D: int,
-    seed: int,
-    height: float,
-    ar_coef: float = 0.3,
-    noise_sd: float = 1.0,
-) -> DgpSpec:
+def homogeneous_spec(N: int, T: int, D: int, seed: int, ar_coef: float = 0.3,
+                     noise_sd: float = 1.0) -> DgpSpec:
+    """All units share flat coefficient curves (global null holds)."""
+    return _preset([_flat_curves(D)] * N, T, seed, ar_coef, noise_sd)
+
+
+def planted_bump_spec(N: int, T: int, D: int, seed: int, center: float, width: float,
+                      height: float, ar_coef: float = 0.3,
+                      noise_sd: float = 1.0) -> DgpSpec:
+    """Unit 0 deviates by a trapezoid bump on its first coordinate."""
+    curves = [list(_flat_curves(D)) for _ in range(N)]
+    curves[0][0] = Bump(center=center, width=width, height=height)
+    return _preset(curves, T, seed, ar_coef, noise_sd)
+
+
+def mixed_heterogeneity_spec(T: int, D: int, seed: int, height: float,
+                             ar_coef: float = 0.3, noise_sd: float = 1.0) -> DgpSpec:
     """Two deviating units with disjoint bumps plus three homogeneous units."""
     curves = [list(_flat_curves(D)) for _ in range(5)]
     curves[0][0] = Bump(center=0.25, width=0.16, height=height)
     curves[1][0] = Bump(center=0.75, width=0.16, height=-height)
-    return DgpSpec(
-        n_units=5,
-        n_time=T,
-        n_covariates=D,
-        curves=tuple(tuple(c) for c in curves),
-        seed=seed,
-        ar_coef=ar_coef,
-        noise_sd=noise_sd,
-    )
+    return _preset(curves, T, seed, ar_coef, noise_sd)
 
 
-def two_group_spec(
-    T: int,
-    D: int,
-    seed: int,
-    height: float,
-    group_sizes: tuple[int, int] = (3, 3),
-    ar_coef: float = 0.3,
-    noise_sd: float = 1.0,
-) -> DgpSpec:
+def two_group_spec(T: int, D: int, seed: int, height: float,
+                   group_sizes: tuple[int, int] = (3, 3), ar_coef: float = 0.3,
+                   noise_sd: float = 1.0) -> DgpSpec:
     """Two latent groups: flat curves vs a shared bump on coordinate 0."""
     n1, n2 = group_sizes
     flat = _flat_curves(D)
     bumped = (Bump(center=0.5, width=0.3, height=height),) + flat[1:]
-    curves = tuple(flat for _ in range(n1)) + tuple(bumped for _ in range(n2))
-    assignment = tuple([0] * n1 + [1] * n2)
-    return DgpSpec(
-        n_units=n1 + n2,
-        n_time=T,
-        n_covariates=D,
-        curves=curves,
-        seed=seed,
-        ar_coef=ar_coef,
-        noise_sd=noise_sd,
-        group_assignment=assignment,
-    )
+    return _preset([flat] * n1 + [bumped] * n2, T, seed, ar_coef, noise_sd,
+                   group_assignment=(0,) * n1 + (1,) * n2)
 
 
 # ---------------------------------------------------------------------------
 # config-file driven entry point (used by the CLI)
 
+# each key's parser and default. A callable default is read when the run
+# starts, so the HAC keys follow HacConfig; None is no default: experiment is
+# required and bump_width defaults to twice the smallest grid bandwidth.
 _CONFIG_KEYS = {
-    "experiment": str,
-    "N": int,
-    "T": int,
-    "D": int,
-    "R": int,
-    "B": int,
-    "alpha": float,
-    "seed": int,
-    "crit_seed": int,
-    "ar_coef": float,
-    "noise_sd": float,
-    "height_c": float,
-    "scales": str,
-    "bump_center": float,
-    "bump_width": float,
-    "hac_kernel": str,
-    "hac_bandwidth": float,
-    "pilot_h": float,
-    "pooled_lrv": int,
+    "experiment": (str, None),
+    "N": (int, 5),
+    "T": (int, 300),
+    "D": (int, 2),
+    "R": (int, 100),
+    "B": (int, 1000),
+    "alpha": (float, 0.05),
+    "seed": (int, 0),
+    "crit_seed": (int, _CRIT_SEED),
+    "ar_coef": (float, 0.3),
+    "noise_sd": (float, 1.0),
+    "height_c": (float, 5.0),
+    "scales": (str, "1.0"),
+    "bump_center": (float, 0.5),
+    "bump_width": (float, None),
+    "hac_kernel": (str, lambda: HacConfig.cov_kernel),
+    "hac_bandwidth": (float, lambda: HacConfig.bandwidth),
+    "pilot_h": (float, lambda: HacConfig.pilot_bandwidth),
+    "pooled_lrv": (int, 0),
 }
 
 
+def _config_defaults() -> dict:
+    return {
+        key: default() if callable(default) else default
+        for key, (_, default) in _CONFIG_KEYS.items()
+    }
+
+
 def load_experiment_config(path) -> dict:
-    """Parse a `key = value` text file (# starts a comment)."""
+    """Parse a `key = value` text file (# starts a comment); a key may be
+    given once."""
     cfg: dict = {}
+    lines: dict = {}
     with open(path, "r", encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -719,8 +689,13 @@ def load_experiment_config(path) -> dict:
             key = key.strip()
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
+            if key in lines:
+                raise ValueError(
+                    f"{path}:{ln}: key {key!r} given twice (lines {lines[key]} and {ln})"
+                )
+            lines[key] = ln
             try:
-                cfg[key] = _CONFIG_KEYS[key](value.strip())
+                cfg[key] = _CONFIG_KEYS[key][0](value.strip())
             except ValueError:
                 raise ValueError(
                     f"{path}:{ln}: cannot parse value {value.strip()!r} for {key!r}"
@@ -731,60 +706,44 @@ def load_experiment_config(path) -> dict:
 
 
 def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
-    """Run the experiment described by a parsed config dictionary."""
+    """Run the experiment described by a parsed config dictionary; a key it
+    leaves out takes its default from _CONFIG_KEYS."""
     kind = cfg["experiment"]
     if kind in ("fwer", "cluster") and "N" in cfg:
         raise ValueError(
             f"the {kind} design fixes the number of units "
             "(fwer: 5, cluster: 3 + 3); remove the key 'N'"
         )
-    T = int(cfg.get("T", 300))
-    D = int(cfg.get("D", 2))
-    N = int(cfg.get("N", 5))
-    R = int(cfg.get("R", 100))
-    B = int(cfg.get("B", 1000))
-    alpha = float(cfg.get("alpha", 0.05))
-    seed = int(cfg.get("seed", 0))
-    crit_seed = int(cfg.get("crit_seed", _CRIT_SEED))
-    ar_coef = float(cfg.get("ar_coef", 0.3))
-    noise_sd = float(cfg.get("noise_sd", 1.0))
+    cfg = {**_config_defaults(), **cfg}
+    N, T, D, seed = cfg["N"], cfg["T"], cfg["D"], cfg["seed"]
+    noise = dict(ar_coef=cfg["ar_coef"], noise_sd=cfg["noise_sd"])
     hac = HacConfig(
-        cov_kernel=cfg.get("hac_kernel", HacConfig.cov_kernel),
-        bandwidth=cfg.get("hac_bandwidth"),
-        pilot_bandwidth=float(cfg.get("pilot_h", HacConfig.pilot_bandwidth)),
-        pooled=bool(cfg.get("pooled_lrv", 0)),
+        cov_kernel=cfg["hac_kernel"],
+        bandwidth=cfg["hac_bandwidth"],
+        pilot_bandwidth=cfg["pilot_h"],
+        pooled=bool(cfg["pooled_lrv"]),
     )
     grid = build_grid_application(T)
-    c = float(cfg.get("height_c", 5.0))
     h_ref = float(grid.h.min())
+    height = separation_height(T, h_ref, cfg["height_c"])
     common = dict(
-        alpha=alpha, B=B, R=R, grid=grid, hac=hac,
-        crit_seed=crit_seed, n_workers=n_workers,
+        alpha=cfg["alpha"], B=cfg["B"], R=cfg["R"], grid=grid, hac=hac,
+        crit_seed=cfg["crit_seed"], n_workers=n_workers,
     )
     if kind == "size":
-        spec = homogeneous_spec(N, T, D, seed, ar_coef, noise_sd)
-        return run_size_experiment(spec, **common)
+        return run_size_experiment(homogeneous_spec(N, T, D, seed, **noise), **common)
     if kind == "power":
-        height = separation_height(T, h_ref, c)
+        width = cfg["bump_width"]
         spec = planted_bump_spec(
-            N, T, D, seed,
-            center=float(cfg.get("bump_center", 0.5)),
-            width=float(cfg.get("bump_width", 2.0 * h_ref)),
-            height=height,
-            ar_coef=ar_coef, noise_sd=noise_sd,
+            N, T, D, seed, center=cfg["bump_center"],
+            width=2.0 * h_ref if width is None else width, height=height, **noise,
         )
-        scales = [float(s) for s in str(cfg.get("scales", "1.0")).split(",")]
+        scales = [float(s) for s in cfg["scales"].split(",")]
         return run_power_experiment(spec, scales, **common)
     if kind == "fwer":
-        spec = mixed_heterogeneity_spec(
-            T, D, seed, height=separation_height(T, h_ref, c),
-            ar_coef=ar_coef, noise_sd=noise_sd,
-        )
+        spec = mixed_heterogeneity_spec(T, D, seed, height=height, **noise)
         return run_fwer_experiment(spec, **common)
     if kind == "cluster":
-        spec = two_group_spec(
-            T, D, seed, height=separation_height(T, h_ref, c),
-            ar_coef=ar_coef, noise_sd=noise_sd,
-        )
+        spec = two_group_spec(T, D, seed, height=height, **noise)
         return run_cluster_experiment(spec, **common)
     raise ValueError(f"unknown experiment {kind!r}")

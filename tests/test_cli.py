@@ -194,6 +194,24 @@ def test_cmd_test_crit_cache_reused(tmp_path):
     assert cache.exists()
 
 
+@pytest.mark.parametrize(
+    "level", [["--alpha", "1.5"], ["--alpha", "0.001", "--B", "200"]],
+    ids=["alpha-outside-0-1", "B-below-1-over-alpha"],
+)
+def test_cmd_test_bad_level_exits_2_before_any_draw(tmp_path, monkeypatch, level):
+    from panelscale import critvals
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate_phi called")
+
+    monkeypatch.setattr(critvals, "simulate_phi", no_draws)
+    cache = tmp_path / "draws.bin"
+    argv = ["test", "--input", str(FIXTURE), "--out", str(tmp_path / "out"),
+            "--crit-cache", str(cache)]
+    assert main(argv + level) == 2
+    assert not cache.exists()
+
+
 def test_cmd_cluster_two_distinct_units(tmp_path):
     out = tmp_path / "out"
     code = main(["cluster", "--input", str(FIXTURE), "--out", str(out)] + FAST)
@@ -341,6 +359,15 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
     cfg.write_text(config)
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_cmd_simulate_rejects_repeated_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = size\nN = 2\nR = 2\nR = 5\n" + SIM_TINY)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "key 'R' given twice (lines 3 and 4)" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +357,27 @@ def test_config_parser_rejects_unknown_keys(tmp_path):
     cfg_file.write_text("experiment = size\nbogus = 1\n")
     with pytest.raises(ValueError, match="bogus"):
         load_experiment_config(cfg_file)
+
+
+def test_readme_config_table_matches_config_keys():
+    # the README's `simulate` key table: one row per key, in the code's order,
+    # and every numeric default equal to the one the run takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | read by | meaning |\n", 1)[1]
+    rows = [line.split("|")[1:3] for line in table.split("\n\n", 1)[0].splitlines()[1:]]
+    documented = {key.strip(" `"): default.strip(" `") for key, default in rows}
+    assert list(documented) == list(simulate._CONFIG_KEYS)
+    defaults = simulate._config_defaults()
+    numeric = {k: float(v) for k, v in documented.items() if _is_number(v)}
+    assert numeric == {k: float(defaults[k]) for k in numeric}
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def test_run_from_config_smoke(tmp_path):
