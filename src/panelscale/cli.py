@@ -165,13 +165,15 @@ def _hac_config(args) -> HacConfig:
     )
 
 
-def _prepare(args) -> tuple[Panel, Grid, SmoothingKernel, CriticalValue]:
-    """Load (and demean) the panel, build the grid and the kernel, and get the
-    Gaussian critical value: the common start of test and cluster."""
+def _prepare(args, k: int | None = None) -> tuple[Panel, Grid, SmoothingKernel, CriticalValue]:
+    """Load (and demean) the panel, check cluster's --k against it, build the
+    grid and kernel, and get the Gaussian critical value: test's and cluster's start."""
     panel = panel_from_csv(args.input, args.layout)
     if not args.no_demean:
         panel = demean_units(panel)
     panel.require_pairs()
+    if k is not None and not 1 <= k <= panel.n_units:
+        raise PanelFormatError(f"--k must lie in [1, {panel.n_units}], got {k}")
     grid = _build_grid(args, panel.n_time)
     kernel = SmoothingKernel(args.kernel)
     crit = gaussian_critical_value(
@@ -297,9 +299,7 @@ def cmd_test(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    if args.k is not None and args.k < 1:
-        raise PanelFormatError(f"--k must be a positive integer, got {args.k}")
-    panel, grid, kernel, crit = _prepare(args)
+    panel, grid, kernel, crit = _prepare(args, args.k)
     normalizers = build_normalizers(panel, kernel, _hac_config(args))
     table = compute_stat_table(panel, kernel, grid, normalizers)
     d = dissimilarity_matrix(table)

@@ -259,8 +259,8 @@ def _pair_roots(sigmas: np.ndarray, units, i_idx, j_idx) -> np.ndarray:
     vals, vecs = np.linalg.eigh(sigma)
     with np.errstate(invalid="ignore", divide="ignore"):
         root = (vecs / np.sqrt(vals)[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        unverified = np.abs(root @ sigma @ root - np.eye(D)).max(axis=(1, 2)) > 1e-8
     low, floor = vals[:, 0], 1e-8 * trace / D
-    unverified = np.abs(root @ sigma @ root - np.eye(D)).max(axis=(1, 2)) > 1e-8
     failed = degenerate[i_idx] | degenerate[j_idx] | (low <= floor) | unverified
     if not np.any(failed):
         return root

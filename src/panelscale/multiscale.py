@@ -7,7 +7,7 @@ For a pair (i, j) and gridpoint (u, h) the local statistic is
 with Nrm_ij the inverse square root of the averaged long-run covariances.
 Algebraically this equals the kernel-sum form
 || Nrm_ij @ (1/sqrt(Th)) sum_t X_t (Y_it - Y_jt) K_t ||_inf, which needs no
-matrix inversion; it is how the statistic is computed. Gridpoints whose
+matrix inversion; one einsum a block of pairs computes it. Gridpoints whose
 design fails the condition guard are only recorded (fallback_points).
 """
 
@@ -145,27 +145,24 @@ def build_normalizers(
 
 def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
     """(P, G) max-norms of normalizers[p] @ (a[i] - a[j]) for the sums a
-    (N, D, G), pairs in unit_pairs order. Besides the pair index (16 bytes a
-    pair), its temporaries, a block's two gathered sums and two rows a pair,
-    stay within _BLOCK_BYTES (one pair at the least) and go when it returns."""
+    (N, D, G), pairs in unit_pairs order, by one einsum a row block; its
+    optimize=False never calls BLAS, so no bit depends on BLAS threads. Besides
+    the pair index (16 bytes a pair), its temporaries, a block's gathered sums
+    and rows, 2 * D * G floats a pair, stay within _BLOCK_BYTES (one pair at
+    the least) and go when it returns."""
     N, D, G = a.shape
+    if G == 1:
+        # einsum would sum e innermost, in SIMD partial sums; keep g inner
+        return _pair_stats(np.repeat(a, 2, axis=2), normalizers)[:, :1].copy()
     i_idx, j_idx = _pair_index(N)
     s_hat = np.empty((len(normalizers), G))
-    for blk in _row_blocks(len(s_hat), (2 * D + 2) * G):
-        out = s_hat[blk]
+    for blk in _row_blocks(len(s_hat), 2 * D * G):
         diff = a[i_idx[blk]]
         diff -= a[j_idx[blk]]
-        row, prod = np.empty_like(out), np.empty_like(out)
-        nrm = normalizers[blk, :, :, None]
-        for d in range(D):
-            # terms added in the order e = 0, 1, ...
-            np.multiply(nrm[:, d, 0], diff[:, 0], out=row)
-            for e in range(1, D):
-                row += np.multiply(nrm[:, d, e], diff[:, e], out=prod)
-            if d == 0:
-                np.abs(row, out=out)
-            else:
-                np.maximum(out, np.abs(row, out=row), out=out)
+        # each product is added to its row in the order e = 0, 1, ...
+        rows = np.einsum("pde,peg->pdg", normalizers[blk], diff)
+        np.abs(rows, out=rows).max(axis=1, out=s_hat[blk])
+        del diff, rows  # before the next block is gathered
     return s_hat
 
 

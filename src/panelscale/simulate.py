@@ -203,6 +203,8 @@ class DgpSpec:
             raise ValueError(f"AR coefficient {self.ar_coef} must satisfy |a| < 1")
         if not abs(self.cov_ar_coef) < 1.0:
             raise ValueError("covariate AR coefficient must satisfy |a| < 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.noise_sd < 0.0:
             raise ValueError("noise sd must be nonnegative")
         if self.covariate_model not in ("intercept_plus_ar1", "iid_normal"):
@@ -715,6 +717,8 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
             "(fwer: 5, cluster: 3 + 3); remove the key 'N'"
         )
     cfg = {**_config_defaults(), **cfg}
+    if not cfg["noise_sd"] > 0.0:  # no long-run covariance to normalise by
+        raise ValueError(f"noise_sd = {cfg['noise_sd']} must be positive")
     N, T, D, seed = cfg["N"], cfg["T"], cfg["D"], cfg["seed"]
     noise = dict(ar_coef=cfg["ar_coef"], noise_sd=cfg["noise_sd"])
     hac = HacConfig(

@@ -150,6 +150,25 @@ def einsum_stat_table(a, normalizers, n_units: int) -> np.ndarray:
     return np.abs(np.einsum("pde,gpe->pgd", normalizers, diff)).max(axis=2)
 
 
+def naive_pair_stats(a, normalizers) -> np.ndarray:
+    """s_hat (P, G) from the sums a (N, D, G) one scalar at a time, pairs in
+    i < j order: each row adds its D products in the order e = 0, 1, ..."""
+    N, D, G = a.shape
+    pairs = [(i, j) for i in range(N) for j in range(i + 1, N)]
+    out = np.empty((len(pairs), G))
+    for p, (i, j) in enumerate(pairs):
+        for g in range(G):
+            best = 0.0
+            for d in range(D):
+                row = 0.0
+                for e in range(D):
+                    diff = float(a[i, e, g]) - float(a[j, e, g])
+                    row += float(normalizers[p, d, e]) * diff
+                best = max(best, abs(row))
+            out[p, g] = best
+    return out
+
+
 def _naive_canonical(curve):
     if isinstance(curve, Sine) and curve.amplitude == 0.0:
         return Constant(level=curve.level)

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -249,6 +250,16 @@ def test_cmd_cluster_k_zero_rejected(tmp_path):
     assert code == 2
 
 
+def test_cmd_cluster_oversized_k_refused_before_any_draw(tmp_path, capsys):
+    out, cache = tmp_path / "out", tmp_path / "crit.bin"
+    argv = ["cluster", "--input", str(FIXTURE), "--out", str(out), "--k", "9"]
+    code = main(argv + ["--crit-cache", str(cache)] + FAST)
+    assert code == 2
+    assert "--k must lie in [1, 2], got 9" in capsys.readouterr().err
+    assert not cache.exists()
+    assert not out.exists()
+
+
 def test_cmd_simulate_smoke(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
@@ -360,6 +371,34 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ("experiment = size\nN = 2\nR = 3\nnoise_sd = 0\n" + SIM_TINY, "noise_sd"),
+        (
+            "experiment = size\nN = 2\nR = 3\nT = 100\nD = 1\nB = 120\nseed = -1\n",
+            "seed must be a nonnegative integer, got -1",
+        ),
+    ],
+    ids=["noise-sd-0", "seed-negative"],
+)
+def test_cmd_simulate_refuses_before_any_draw(tmp_path, monkeypatch, capsys, config, message):
+    from panelscale import simulate
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the critical value's draws were made")
+
+    monkeypatch.setattr(simulate, "gaussian_critical_value", no_draws)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cmd_simulate_rejects_repeated_key(tmp_path, capsys):

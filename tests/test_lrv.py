@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,15 @@ def test_normalizers_bit_identical_to_per_pair_eigenvalues(N, T, D):
     got = build_normalizers(panel, KERN, HacConfig())
     ref = [per_pair_eig_normalizer(covs[i], covs[j]) for i, j in unit_pairs(N)]
     np.testing.assert_array_equal(got, np.array(ref))
+
+
+def test_degenerate_scalar_covariance_raises_without_warning():
+    # the verification product of a nan root stays inside np.errstate
+    zero = LongRunCov(unit=0, sigma=np.zeros((1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateCovarianceError, match="unit 0 is degenerate"):
+            pair_normalizer(zero, LongRunCov(unit=1, sigma=np.zeros((1, 1))))
 
 
 def test_degenerate_unit_error_unchanged():

@@ -372,6 +372,24 @@ def test_stat_table_matches_einsum_contraction(D):
         assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
+@pytest.mark.parametrize("broadcast", [False, True], ids=["random", "broadcast"])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_pair_stats_bit_equal_to_scalar_oracle(D, broadcast):
+    rng = np.random.default_rng(10 * D + broadcast)
+    N = 5
+    P = N * (N - 1) // 2
+    if broadcast:
+        normalizers = np.broadcast_to(rng.standard_normal((D, D)), (P, D, D))
+    else:
+        normalizers = rng.standard_normal((P, D, D))
+    # one gridpoint, an odd count and magnitudes from 1e-3 to 1e3 per sum
+    for G in (1, 2, 37):
+        a = rng.standard_normal((N, D, G)) * 10.0 ** rng.integers(-3, 4, (N, D, 1))
+        np.testing.assert_array_equal(
+            multiscale._pair_stats(a, normalizers), oracles.naive_pair_stats(a, normalizers)
+        )
+
+
 @pytest.mark.parametrize("pairs_per_block", [1, 4])
 def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
     panel, grid, normalizers = table_case(6, 3, seed=9)  # 15 pairs
