@@ -200,10 +200,8 @@ def draws_cache_key(
     (T, N, D, B, seed), the kernel name, then the (t, s) lattice indices of
     every grid point in order. No kernel name is a prefix of another, so
     equal keys mean equal parameters: a cache hit needs no hash."""
-    parts = [struct.pack("<5q", T, N, D, B, seed), kernel.kind.encode()]
-    for u, h in grid.points:
-        parts.append(struct.pack("<2q", round(u * grid.T), round(h * grid.T)))
-    return b"".join(parts)
+    head = struct.pack("<5q", T, N, D, B, seed) + kernel.kind.encode()
+    return head + grid.lattice.astype("<i8").tobytes()
 
 
 def save_draws(path, key: bytes, draws: np.ndarray) -> None:

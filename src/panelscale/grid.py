@@ -37,6 +37,8 @@ class Grid:
     u: np.ndarray = field(init=False, repr=False, compare=False)
     h: np.ndarray = field(init=False, repr=False, compare=False)
     lam: np.ndarray = field(init=False, repr=False, compare=False)
+    # the integer (t, s) of each point, u = t/T and h = s/T, shape (G, 2)
+    lattice: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.T < 1:
@@ -45,7 +47,7 @@ class Grid:
             raise GridError("grid has no points")
         if self.h_max > H_MAX_CAP + 1e-12:
             raise GridError(f"h_max={self.h_max} exceeds the cap {H_MAX_CAP}")
-        seen: set[tuple[int, int]] = set()
+        seen: dict[tuple[int, int], None] = {}
         for u, h in self.points:
             ti = _lattice_index(u, self.T, "u")
             si = _lattice_index(h, self.T, "h")
@@ -59,16 +61,14 @@ class Grid:
                 )
             if (ti, si) in seen:
                 raise GridError(f"duplicate grid point (u={u}, h={h})")
-            seen.add((ti, si))
+            seen[ti, si] = None
         us = np.array([p[0] for p in self.points], dtype=float)
         hs = np.array([p[1] for p in self.points], dtype=float)
         lam = np.array([lambda_correction(h) for h in hs])
-        us.setflags(write=False)
-        hs.setflags(write=False)
-        lam.setflags(write=False)
-        object.__setattr__(self, "u", us)
-        object.__setattr__(self, "h", hs)
-        object.__setattr__(self, "lam", lam)
+        lattice = np.array(list(seen), dtype=np.int64)
+        for name, arr in (("u", us), ("h", hs), ("lam", lam), ("lattice", lattice)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_points(self) -> int:
@@ -81,7 +81,12 @@ def check_grid_T(grid: Grid, T: int) -> None:
         raise ValueError(f"grid was built for T={grid.T}, not T={T}")
 
 
-def _assemble(points: list[tuple[float, float]], T: int) -> Grid:
+def _assemble(T: int, u_step: int, s_values) -> Grid:
+    """The points (t/T, s/T) for s in s_values, in order, crossed with every
+    multiple t of u_step whose window [t - s, t + s] lies in [0, T]."""
+    points = [
+        (t / T, s / T) for s in s_values for t in range(0, T + 1, u_step) if s <= t <= T - s
+    ]
     if not points:
         raise GridError(f"grid construction produced no feasible points for T={T}")
     hs = [h for _, h in points]
@@ -102,18 +107,12 @@ def build_grid_application(T: int) -> Grid:
             f"empty bandwidth set: T^(-1/3)={h_floor:.4f} exceeds 1/4 for T={T} "
             "(need T >= 64)"
         )
-    s_values = []
-    t = 1
-    while True:
-        s = 5 * t - 3
-        if s / T > H_MAX_CAP + 1e-12:
-            break
-        if s / T >= h_floor - 1e-12:
-            s_values.append(s)
-        t += 1
+    s_values = [
+        s for s in range(2, T + 1, 5) if h_floor - 1e-12 <= s / T <= H_MAX_CAP + 1e-12
+    ]
     if not s_values:
         raise GridError(f"no admissible bandwidth of the form (5t-3)/T for T={T}")
-    return build_grid_custom(T, 5, [s / T for s in s_values])
+    return _assemble(T, 5, s_values)
 
 
 def build_grid_custom(T: int, u_step: int, h_values) -> Grid:
@@ -135,10 +134,4 @@ def build_grid_custom(T: int, u_step: int, h_values) -> Grid:
         if h > H_MAX_CAP + 1e-12:
             raise GridError(f"h={h} exceeds the maximal bandwidth 1/4")
         s_values.append(si)
-    points = [
-        (k * u_step / T, s / T)
-        for s in s_values
-        for k in range(0, T // u_step + 1)
-        if k * u_step - s >= 0 and k * u_step + s <= T
-    ]
-    return _assemble(points, T)
+    return _assemble(T, u_step, s_values)

@@ -89,8 +89,10 @@ def weights_matrix(
     u = np.asarray(u, dtype=float)
     h = np.asarray(h, dtype=float)
     t = np.arange(1, T + 1, dtype=float)
-    # (t - uT)/(hT) rather than (t/T - u)/h: exact at support edges whenever
-    # u and h sit on the 1/T lattice, so grid windows never leak past [u-h, u+h]
+    # (t - uT)/(hT) rather than (t/T - u)/h. On the 1/T lattice uT and hT are
+    # still rounded products (15/22 * 22 = 14.999999999999998), so a window's
+    # edge period may keep a weight near 1e-16, but no period outside [u-h, u+h]
+    # gets one; z from integer offsets would change every draw's bits
     z = np.subtract(t[None, :], u[:, None] * T)
     z /= h[:, None] * T
     # each row is monotone in t, so it is finite wherever its two ends are

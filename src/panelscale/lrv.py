@@ -148,19 +148,19 @@ def _pilot_weights(kernel: SmoothingKernel, T: int, h_pilot: float) -> np.ndarra
 @functools.lru_cache(maxsize=4)
 def _pilot_points(T: int, h_pilot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pilot fit's distinct points (us, hs) and the index of each period's
-    point, read-only: u_t = t/T clamped to [h, 1 - h], h = h_pilot snapped to
-    the nearest 1/T lattice multiple."""
-    h_eff = max(1, round(h_pilot * T)) / T
-    t_over_T = np.arange(1, T + 1, dtype=float) / T
-    us, inverse = np.unique(np.clip(t_over_T, h_eff, 1.0 - h_eff), return_inverse=True)
-    hs = np.full(us.shape, h_eff)
+    point, read-only: u_t = t/T for the period t clamped to [s, T - s], and
+    h = s/T for s = h_pilot * T rounded to an integer (at least 1)."""
+    s = max(1, round(h_pilot * T))
+    ts, inverse = np.unique(np.clip(np.arange(1, T + 1), s, T - s), return_inverse=True)
+    us = ts / T
+    hs = np.full(us.shape, s / T)
     for arr in (us, hs, inverse):
         arr.setflags(write=False)
     return us, hs, inverse
 
 
 def residual_series(
-    panel: Panel, kernel: SmoothingKernel, unit: int, h_pilot: float = 0.25
+    panel: Panel, kernel: SmoothingKernel, unit: int, h_pilot: float = HacConfig.pilot_bandwidth
 ) -> np.ndarray:
     """v_hat rows X_t * (Y_it - X_t' beta_hat_i(u_t, h_pilot)), u_t clamped
     to [h_pilot, 1 - h_pilot].

@@ -295,6 +295,22 @@ def test_gaussian_critical_value_uses_cache(tmp_path):
     np.testing.assert_array_equal(cv1.phi_draws, cv2.phi_draws)
 
 
+def test_cache_with_another_draw_count_recomputed(tmp_path, monkeypatch):
+    # a key that matches but fewer draws than B: simulated afresh and rewritten
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    path = tmp_path / "cache.bin"
+    save_draws(path, key, np.full(120, 7.0))
+    calls = []
+    simulate = critvals.simulate_phi
+    monkeypatch.setattr(critvals, "simulate_phi", lambda *a: calls.append(a) or simulate(*a))
+    cv = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
+    assert len(calls) == 1
+    expected = simulate(100, 2, 1, grid, KERN, 150, 3)
+    np.testing.assert_array_equal(cv.phi_draws, expected)
+    np.testing.assert_array_equal(load_draws(path, key), expected)
+
+
 def test_cache_of_older_format_recomputed(tmp_path):
     grid = single_point_grid()
     key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
@@ -315,13 +331,17 @@ def test_cache_of_older_format_recomputed(tmp_path):
 
 
 def test_cache_key_is_the_exact_parameter_bytes():
-    grid = build_grid_custom(100, 10, [0.22, 0.25])
-    key = draws_cache_key(100, 3, 2, grid, KERN, 200, 9)
-    lattice = b"".join(struct.pack("<2q", t, s) for t, s in [
-        (round(u * 100), round(h * 100)) for u, h in grid.points
-    ])
-    assert key == struct.pack("<5q", 100, 3, 2, 200, 9) + b"epanechnikov" + lattice
-    assert len(lattice) == 16 * grid.n_points
+    # the bytes that keyed caches already written, which must still hit
+    grids = [build_grid_custom(100, 10, [0.22, 0.25])]
+    grids += [build_grid_application(T) for T in (89, 150, 300)]
+    for grid in grids:
+        T = grid.T
+        key = draws_cache_key(T, 3, 2, grid, KERN, 200, 9)
+        lattice = b"".join(struct.pack("<2q", t, s) for t, s in [
+            (round(u * T), round(h * T)) for u, h in grid.points
+        ])
+        assert key == struct.pack("<5q", T, 3, 2, 200, 9) + b"epanechnikov" + lattice
+        assert len(lattice) == 16 * grid.n_points
 
 
 def test_cache_key_changes_with_every_parameter():

@@ -42,7 +42,10 @@ def test_application_grid_keeps_point_order(T):
     np.testing.assert_array_equal(grid.u, [u for u, _ in points])
     np.testing.assert_array_equal(grid.h, hs)
     np.testing.assert_array_equal(grid.lam, [lambda_correction(h) for h in hs])
-    assert not grid.lam.flags.writeable
+    lattice = [(round(u * T), round(h * T)) for u, h in points]
+    np.testing.assert_array_equal(grid.lattice, lattice)
+    assert grid.lattice.dtype == np.int64
+    assert not grid.lam.flags.writeable and not grid.lattice.flags.writeable
 
 
 def test_application_grid_T64_empty_band():

@@ -61,6 +61,16 @@ def test_kernel_weights_support_window():
     assert w[2] == 0.0 and w[6] == 0.0
 
 
+@pytest.mark.parametrize("T", [100, 150, 300, 600])
+def test_application_grid_weights_stay_in_closed_window(T):
+    # an edge period may keep a weight of about 1e-16, no period beyond it
+    grid = build_grid_application(T)
+    W = weights_matrix(SmoothingKernel(), T, grid.u, grid.h)
+    t = np.arange(1, T + 1)
+    centre, half = grid.lattice[:, :1], grid.lattice[:, 1:]
+    assert np.all(W[(t < centre - half) | (t > centre + half)] == 0.0)
+
+
 def test_kernel_weights_boundary_location():
     k = SmoothingKernel("epanechnikov")
     w = kernel_weights(k, 50, 0.0, 0.1)

@@ -220,6 +220,20 @@ def partly_zero_panel(T=100):
     )
 
 
+@pytest.mark.parametrize("h_pilot", [0.25, 0.5])
+def test_pilot_points_are_lattice_points(h_pilot):
+    # u_t = t/T for the period t clamped to [s, T - s]; at T = 89 the float
+    # clamp 1 - 22/89 missed 67/89 by one ulp and gave a 47th point
+    for T in range(20, 401):
+        s = max(1, round(h_pilot * T))
+        us, hs, inverse = lrv._pilot_points(T, h_pilot)
+        # at h = 1/2 an odd T may round s past T - s: then one point, (T - s)/T
+        assert us.tolist() == [t / T for t in range(min(s, T - s), T - s + 1)], T
+        assert hs.tolist() == [s / T] * len(us)
+        clamped = [min(max(t, s), T - s) / T for t in range(1, T + 1)]
+        assert us[inverse].tolist() == clamped
+
+
 def test_singular_pilot_names_the_point():
     with pytest.raises(SingularDesignError, match=r"\(u=0\.25, h=0\.25\)"):
         long_run_covariances(partly_zero_panel(), KERN, HacConfig(pilot_bandwidth=0.25))

@@ -394,10 +394,12 @@ def test_pair_stats_bit_equal_to_scalar_oracle(D, broadcast):
 def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
     panel, grid, normalizers = table_case(6, 3, seed=9)  # 15 pairs
     one_block = compute_stat_table(panel, KERN, grid, normalizers).s_hat
-    pair_bytes = 8 * panel.n_covariates * grid.n_points
+    # _pair_stats budgets 2 * D * G floats a pair
+    pair_bytes = 16 * panel.n_covariates * grid.n_points
     assert len(normalizers) * pair_bytes <= multiscale._BLOCK_BYTES
     # 4 pairs per block leaves a short last block of 3
     monkeypatch.setattr(multiscale, "_BLOCK_BYTES", pairs_per_block * pair_bytes)
+    assert next(multiscale._row_blocks(15, pair_bytes // 8)) == slice(0, pairs_per_block)
     blocked = compute_stat_table(panel, KERN, grid, normalizers).s_hat
     np.testing.assert_array_equal(blocked, one_block)
 

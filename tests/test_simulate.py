@@ -187,6 +187,23 @@ def test_true_partition_from_assignment():
     assert truth.true_partition() == {frozenset({0, 1}), frozenset({2, 3, 4})}
 
 
+def test_true_partition_from_curves():
+    # without an assignment, units whose curve tuples are equal share a group
+    a, b = (Constant(0.0), Sine()), (Constant(0.0), Sine(phase=0.5))
+    truth = GroundTruth(curves=(a, b, a, (Constant(1.0), Sine()), b))
+    assert truth.true_partition() == {
+        frozenset({0, 2}), frozenset({1, 4}), frozenset({3})
+    }
+
+
+def test_sine_eval():
+    u = np.array([0.0, 0.125, 0.25, 0.375, 0.5])
+    got = Sine(amplitude=2.0, cycles=2.0, level=1.0).eval(u)
+    np.testing.assert_allclose(got, [1.0, 3.0, 1.0, -1.0, 1.0], atol=1e-12)
+    shifted = Sine(phase=np.pi / 2).eval(u)  # a cosine
+    np.testing.assert_allclose(shifted, np.cos(2.0 * np.pi * u), atol=1e-12)
+
+
 def test_separation_height_formula():
     T, h, c = 300, 0.2, 5.0
     assert separation_height(T, h, c) == pytest.approx(
