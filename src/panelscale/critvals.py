@@ -13,6 +13,11 @@ Draw b uses the counter-based Philox generator jumped b times from the seed,
 making the vector of draws independent of worker scheduling. Blocks of draws
 share one window_sums contraction, and the max over pairs is the range
 max_i S - min_i S per coordinate, O(N) rather than O(N^2).
+
+The normals are drawn in float64 and the window sums and pair ranges taken in
+float32, against a float32 copy of the scaled weights; lambda(h) is
+subtracted in float64. Against float64 sums of the same normals, Phi moves by
+at most about 2e-6.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ class CriticalValue:
 # GEMM columns per block of draws (draws times N*D). At N=5, T=300, D=2,
 # 64-draw blocks (640 columns) ran no faster and raised peak memory
 _BLOCK_COLUMNS = 128
+# draws per block at least: at N=50, T=500, D=3, 100 draws took 0.41-0.55 s
+# in one-draw blocks and 0.36-0.38 s in four-draw blocks (one worker; with
+# two, 0.27-0.31 against 0.21-0.23 s)
+_BLOCK_DRAWS = 4
 
 
 def _philox_draws(seed: int):
@@ -106,22 +115,28 @@ def simulate_phi(
     check_grid_T(grid, T)
     W = weights_matrix(kernel, T, grid.u, grid.h)
     W *= (1.0 / np.sqrt(T * grid.h))[:, None]
-    # about _BLOCK_COLUMNS GEMM columns per block; the blocks depend only on
-    # (N, D) and a short last block is zero-padded, so every draw is
-    # computed the same way whatever B and n_workers are
-    per_block = max(1, _BLOCK_COLUMNS // (N * D))
+    W = W.astype(np.float32)
+    # about _BLOCK_COLUMNS GEMM columns and at least _BLOCK_DRAWS draws per
+    # block; the blocks depend only on (N, D) and a short last block is
+    # zero-padded, so every draw is computed the same way whatever B and
+    # n_workers are
+    per_block = max(_BLOCK_DRAWS, _BLOCK_COLUMNS // (N * D))
 
     def one_block(start: int) -> np.ndarray:
         n = min(per_block, B - start)
-        z = np.zeros((per_block, N, T, D))
+        # columns ordered (unit, draw, coordinate), periods innermost so that
+        # a draw is cast in by runs of T values rather than of D
+        block = np.zeros((N, per_block, D, T), dtype=np.float32)
+        z = np.empty((N, T, D))
         gen, move_to = _philox_draws(seed)
         for k in range(n):
             move_to(start + k)
-            gen.standard_normal(out=z[k])
-        # columns ordered (unit, draw, coordinate)
-        sums = window_sums(W, z.transpose(2, 1, 0, 3).reshape(T, -1))
+            gen.standard_normal(out=z)
+            block[:, k] = z.transpose(0, 2, 1)
+        sums = window_sums(W, block.reshape(-1, T).T)
         gap = _max_pair_gap(sums.reshape(-1, N, per_block * D))
         s = gap.reshape(-1, per_block, D).max(axis=2)
+        # float32 ranges less float64 lambda: the draws are float64
         return (s[:, :n] - grid.lam[:, None]).max(axis=0)
 
     starts = range(0, B, per_block)
@@ -188,9 +203,10 @@ def gaussian_critical_value(
     return critical_value(draws, alpha, seed=seed)
 
 
-# version 3 keys by the exact parameter bytes, version 2 by their SHA-256,
-# and version 1 summed the draws another way: older caches are recomputed
-_CACHE_MAGIC = b"PSCV\x03"
+# version 4 takes the window sums in float32; version 3 took them in float64,
+# version 2 keyed by the parameters' SHA-256 and version 1 summed the draws
+# another way: older caches are recomputed
+_CACHE_MAGIC = b"PSCV\x04"
 
 
 def draws_cache_key(

@@ -149,8 +149,9 @@ def _pilot_weights(kernel: SmoothingKernel, T: int, h_pilot: float) -> np.ndarra
 def _pilot_points(T: int, h_pilot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pilot fit's distinct points (us, hs) and the index of each period's
     point, read-only: u_t = t/T for the period t clamped to [s, T - s], and
-    h = s/T for s = h_pilot * T rounded to an integer (at least 1)."""
-    s = max(1, round(h_pilot * T))
+    h = s/T for s = h_pilot * T rounded to an integer, at least 1 and at most
+    T // 2 so that the clamp is never inverted."""
+    s = max(1, min(round(h_pilot * T), T // 2))
     ts, inverse = np.unique(np.clip(np.arange(1, T + 1), s, T - s), return_inverse=True)
     us = ts / T
     hs = np.full(us.shape, s / T)

@@ -128,7 +128,7 @@ def naive_residual_rows(x, y, kind, unit, h_pilot):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     T = x.shape[0]
-    h_eff = max(1, round(h_pilot * T)) / T
+    h_eff = max(1, min(round(h_pilot * T), T // 2)) / T
     rows = []
     for t in range(1, T + 1):
         u = min(max(t / T, h_eff), 1.0 - h_eff)

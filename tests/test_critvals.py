@@ -84,6 +84,23 @@ def test_simulate_phi_prefix_independent_of_B():
     np.testing.assert_array_equal(longer[:100], short)
 
 
+def test_multi_draw_blocks_match_einsum_for_any_workers_and_B():
+    # N*D = 36 is over _BLOCK_COLUMNS / 4, so a block holds _BLOCK_DRAWS = 4
+    # draws: at B=103 draws 100..102 sit in a zero-padded short last block,
+    # and in a full one at B=104
+    grid = build_grid_application(150)
+    assert max(critvals._BLOCK_DRAWS, critvals._BLOCK_COLUMNS // 36) == 4
+    short = simulate_phi(150, 12, 3, grid, KERN, 103, seed=6, n_workers=1)
+    ref = oracles.naive_gaussian_draws(150, 12, 3, grid.u, grid.h, KERN.kind, 103, 6)
+    np.testing.assert_allclose(short, ref, rtol=0.0, atol=1e-5)
+    for workers in (2, 8):
+        np.testing.assert_array_equal(
+            simulate_phi(150, 12, 3, grid, KERN, 103, seed=6, n_workers=workers), short
+        )
+    longer = simulate_phi(150, 12, 3, grid, KERN, 104, seed=6, n_workers=2)
+    np.testing.assert_array_equal(longer[:103], short)
+
+
 def test_pair_range_equals_pair_max():
     rng = np.random.default_rng(12)
     for N in (2, 3, 7):
@@ -100,9 +117,11 @@ def test_pair_range_equals_pair_max():
     (300, build_grid_application(300)),
 ])
 def test_draws_match_per_draw_einsum(T, grid):
+    # the window sums are float32: within 1e-5 of float64 sums of the same
+    # normals
     got = simulate_phi(T, 3, 2, grid, KERN, 100, seed=8, n_workers=2)
     ref = oracles.naive_gaussian_draws(T, 3, 2, grid.u, grid.h, KERN.kind, 100, 8)
-    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-5)
 
 
 @pytest.mark.parametrize("seed", [0, 5])
@@ -116,11 +135,11 @@ def test_draw_generator_matches_jumped_philox(seed):
 
 
 # sha256 of simulate_phi(T, N, D, application grid, Epanechnikov, B=200,
-# seed=7) as little-endian float64, taken when every draw still built its
-# Philox through .jumped(b)
+# seed=7) as little-endian float64, taken when the window sums became float32
+# (draw cache format 4); the same under 1, 2 and 3 BLAS threads
 PINNED_DRAWS = {
-    (5, 300, 2): "7d6380bb28548aa03e90753c7bce89a8627f7575a0496a89437c43d43b15cf14",
-    (4, 200, 3): "dca43eb90449d8f6a949eae88c0b099bcb047c2185c755d4b2f248e616e9b1e8",
+    (5, 300, 2): "7c73d7b1394c1e1a5aa2f684d4ee3a97a061c24b5e62511465a590bfbd2a15b2",
+    (4, 200, 3): "19d7ab6432ebf751407ed242c3b4d48b5546b3142ea1c5682226dbdbd4ee5822",
 }
 
 
@@ -311,16 +330,16 @@ def test_cache_with_another_draw_count_recomputed(tmp_path, monkeypatch):
     np.testing.assert_array_equal(load_draws(path, key), expected)
 
 
-def test_cache_of_older_format_recomputed(tmp_path):
+def _check_older_magic_recomputed(tmp_path, magic):
     grid = single_point_grid()
     key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
     path = tmp_path / "cache.bin"
     stale = np.full(150, 7.0)
     save_draws(path, key, stale)
     blob = path.read_bytes()
-    assert blob.startswith(critvals._CACHE_MAGIC) and critvals._CACHE_MAGIC != b"PSCV\x01"
-    # the same file as the previous format wrote it: old magic, matching key
-    path.write_bytes(b"PSCV\x01" + blob[len(critvals._CACHE_MAGIC):])
+    assert blob.startswith(critvals._CACHE_MAGIC) and critvals._CACHE_MAGIC != magic
+    # the same file as an older format wrote it: old magic, matching key
+    path.write_bytes(magic + blob[len(critvals._CACHE_MAGIC):])
     assert load_draws(path, key) is None
     cv = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
     assert path.read_bytes().startswith(critvals._CACHE_MAGIC)
@@ -328,6 +347,16 @@ def test_cache_of_older_format_recomputed(tmp_path):
     np.testing.assert_array_equal(
         cv.phi_draws, simulate_phi(100, 2, 1, grid, KERN, 150, seed=3)
     )
+
+
+def test_cache_of_older_format_recomputed(tmp_path):
+    # format 1 summed the draws in another order
+    _check_older_magic_recomputed(tmp_path, b"PSCV\x01")
+
+
+def test_cache_of_version_3_recomputed(tmp_path):
+    # format 3 took the window sums in float64
+    _check_older_magic_recomputed(tmp_path, b"PSCV\x03")
 
 
 def test_cache_key_is_the_exact_parameter_bytes():

@@ -223,12 +223,13 @@ def partly_zero_panel(T=100):
 @pytest.mark.parametrize("h_pilot", [0.25, 0.5])
 def test_pilot_points_are_lattice_points(h_pilot):
     # u_t = t/T for the period t clamped to [s, T - s]; at T = 89 the float
-    # clamp 1 - 22/89 missed 67/89 by one ulp and gave a 47th point
+    # clamp 1 - 22/89 missed 67/89 by one ulp and gave a 47th point. s stops
+    # at T // 2: at h = 1/2 and T = 23, round(11.5) = 12 would invert the clamp
     for T in range(20, 401):
-        s = max(1, round(h_pilot * T))
         us, hs, inverse = lrv._pilot_points(T, h_pilot)
-        # at h = 1/2 an odd T may round s past T - s: then one point, (T - s)/T
-        assert us.tolist() == [t / T for t in range(min(s, T - s), T - s + 1)], T
+        s = round(hs[0] * T)
+        assert s == min(round(h_pilot * T), T // 2), T
+        assert us.tolist() == [t / T for t in range(s, T - s + 1)], T
         assert hs.tolist() == [s / T] * len(us)
         clamped = [min(max(t, s), T - s) / T for t in range(1, T + 1)]
         assert us[inverse].tolist() == clamped
