@@ -156,18 +156,11 @@ def _build_grid(args, T: int) -> Grid:
     return build_grid_custom(T, args.u_step, h_values)
 
 
-def _hac_config(args) -> HacConfig:
-    return HacConfig(
-        cov_kernel=args.hac_kernel,
-        bandwidth=args.hac_bandwidth,
-        pilot_bandwidth=args.pilot_h,
-        pooled=args.pooled_lrv,
-    )
-
-
-def _prepare(args, k: int | None = None) -> tuple[Panel, Grid, SmoothingKernel, CriticalValue]:
-    """Load (and demean) the panel, check cluster's --k against it, build the
-    grid and kernel, and get the Gaussian critical value: test's and cluster's start."""
+def _prepare(
+    args, k: int | None = None
+) -> tuple[Panel, Grid, SmoothingKernel, HacConfig, CriticalValue]:
+    """test's and cluster's start: load (and demean) the panel, check --k and
+    build the grid, kernel and HAC settings, then get the critical value."""
     panel = panel_from_csv(args.input, args.layout)
     if not args.no_demean:
         panel = demean_units(panel)
@@ -176,6 +169,12 @@ def _prepare(args, k: int | None = None) -> tuple[Panel, Grid, SmoothingKernel, 
         raise PanelFormatError(f"--k must lie in [1, {panel.n_units}], got {k}")
     grid = _build_grid(args, panel.n_time)
     kernel = SmoothingKernel(args.kernel)
+    hac = HacConfig(
+        cov_kernel=args.hac_kernel,
+        bandwidth=args.hac_bandwidth,
+        pilot_bandwidth=args.pilot_h,
+        pooled=args.pooled_lrv,
+    )
     crit = gaussian_critical_value(
         panel.n_time,
         panel.n_units,
@@ -188,7 +187,7 @@ def _prepare(args, k: int | None = None) -> tuple[Panel, Grid, SmoothingKernel, 
         n_workers=args.threads,
         cache_path=args.crit_cache,
     )
-    return panel, grid, kernel, crit
+    return panel, grid, kernel, hac, crit
 
 
 def _result_payload(result: TestResult, panel: Panel, grid: Grid, args) -> dict:
@@ -271,10 +270,8 @@ def _curve_files(panel: Panel, grid: Grid, kernel: SmoothingKernel) -> list:
 
 
 def cmd_test(args) -> int:
-    panel, grid, kernel, crit = _prepare(args)
-    result = run_test(
-        panel, kernel, grid, _hac_config(args), args.alpha, crit, keep_minimal=True
-    )
+    panel, grid, kernel, hac, crit = _prepare(args)
+    result = run_test(panel, kernel, grid, hac, args.alpha, crit, keep_minimal=True)
     curves = _curve_files(panel, grid, kernel) if args.emit_plot_data else []
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -299,8 +296,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    panel, grid, kernel, crit = _prepare(args, args.k)
-    normalizers = build_normalizers(panel, kernel, _hac_config(args))
+    panel, grid, kernel, hac, crit = _prepare(args, args.k)
+    normalizers = build_normalizers(panel, kernel, hac)
     table = compute_stat_table(panel, kernel, grid, normalizers)
     d = dissimilarity_matrix(table)
     dendro = hac_cluster(d, args.linkage)

@@ -15,9 +15,10 @@ share one window_sums contraction, and the max over pairs is the range
 max_i S - min_i S per coordinate, O(N) rather than O(N^2).
 
 The normals are drawn in float64 and the window sums and pair ranges taken in
-float32, against a float32 copy of the scaled weights; lambda(h) is
-subtracted in float64. Against float64 sums of the same normals, Phi moves by
-at most about 2e-6.
+float32, against a float32 copy of the designs' shared kernel weights
+(kernels._shared_weights) scaled by 1/sqrt(Th); lambda(h) is subtracted in
+float64. Against float64 sums of the same normals, Phi moves by at most
+about 2e-6.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from ._parallel import ordered_map
 from .errors import QuantileError
 from .grid import Grid, check_grid_T
-from .kernels import SmoothingKernel, weights_matrix, window_sums
+from .kernels import SmoothingKernel, _shared_weights, window_sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,9 +114,10 @@ def simulate_phi(
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     check_grid_T(grid, T)
-    W = weights_matrix(kernel, T, grid.u, grid.h)
-    W *= (1.0 / np.sqrt(T * grid.h))[:, None]
-    W = W.astype(np.float32)
+    # the shared W scaled in float64, then rounded once to float32
+    W = np.empty((grid.n_points, T), dtype=np.float32)
+    scale = (1.0 / np.sqrt(T * grid.h))[:, None]
+    np.multiply(_shared_weights(kernel, T, grid.u, grid.h), scale, out=W, casting="unsafe")
     # about _BLOCK_COLUMNS GEMM columns and at least _BLOCK_DRAWS draws per
     # block; the blocks depend only on (N, D) and a short last block is
     # zero-padded, so every draw is computed the same way whatever B and
@@ -216,6 +218,9 @@ def draws_cache_key(
     (T, N, D, B, seed), the kernel name, then the (t, s) lattice indices of
     every grid point in order. No kernel name is a prefix of another, so
     equal keys mean equal parameters: a cache hit needs no hash."""
+    for name, value in (("B", B), ("seed", seed)):
+        if not 0 <= value < 2**63:
+            raise ValueError(f"{name}={value} outside [0, 2**63), the draw cache key's range")
     head = struct.pack("<5q", T, N, D, B, seed) + kernel.kind.encode()
     return head + grid.lattice.astype("<i8").tobytes()
 

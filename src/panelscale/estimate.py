@@ -10,13 +10,12 @@ path; local_design, beta_hat and coefficient_curve wrap them.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularDesignError
-from .kernels import SmoothingKernel, check_point, weights_matrix, window_sums
+from .kernels import SmoothingKernel, _shared_weights, check_point, window_sums
 from .panel import CoefficientCurve, Panel
 
 COND_LIMIT = 1e12
@@ -116,27 +115,6 @@ def batched_designs(
     M = 0.5 * (M + np.swapaxes(M, 1, 2))
     a = window_sums(W, y[:, :, None] * x[None, :, :]).transpose(1, 0, 2) * scale
     return M, a
-
-
-_LIVE_WEIGHTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _shared_weights(
-    kernel: SmoothingKernel, T: int, us: np.ndarray, hs: np.ndarray
-) -> np.ndarray:
-    """weights_matrix(kernel, T, us, hs), read-only, and the same array for
-    every call while any caller holds it; it is freed with its last holder.
-    A Monte Carlo run holds its grid and pilot W, so it builds each once, not
-    once per replication; a single run_test frees each after its designs."""
-    us = np.asarray(us, dtype=float)
-    hs = np.asarray(hs, dtype=float)
-    key = (kernel, T, us.tobytes(), hs.tobytes())
-    W = _LIVE_WEIGHTS.get(key)
-    if W is None:
-        W = weights_matrix(kernel, T, us, hs)
-        W.setflags(write=False)
-        _LIVE_WEIGHTS[key] = W
-    return W
 
 
 def solve_mask(M: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ outside [-1, 1] and have squared integral strictly above 1/2 (Epanechnikov
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,28 @@ def weights_matrix(
     if not (np.all(np.isfinite(z[:, :1])) and np.all(np.isfinite(z[:, -1:]))):
         raise ValueError("kernel argument must be finite")
     return _kernel_into(kernel.kind, z, z)
+
+
+_LIVE_WEIGHTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_weights(
+    kernel: SmoothingKernel, T: int, us: np.ndarray, hs: np.ndarray
+) -> np.ndarray:
+    """weights_matrix(kernel, T, us, hs), read-only, and the same array for
+    every call while any caller holds it; it is freed with its last holder.
+    A Monte Carlo run holds its grid and pilot W, so its draws and
+    replications share one build of each; a single run_test frees each after
+    its designs."""
+    us = np.asarray(us, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    key = (kernel, T, us.tobytes(), hs.tobytes())
+    W = _LIVE_WEIGHTS.get(key)
+    if W is None:
+        W = weights_matrix(kernel, T, us, hs)
+        W.setflags(write=False)
+        _LIVE_WEIGHTS[key] = W
+    return W
 
 
 WINDOW_BLOCK = 256

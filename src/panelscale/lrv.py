@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, SingularDesignError
-from .estimate import _shared_weights, batched_beta, batched_designs, solve_mask
+from .estimate import batched_beta, batched_designs, solve_mask
 from .kernels import SmoothingKernel
 from .panel import Panel
 
@@ -136,13 +136,6 @@ def _pilot_residuals(
     fitted = np.einsum("td,tnd->nt", panel.x, beta)
     eps = panel.y - fitted
     return panel.x[None, :, :] * eps[:, :, None]
-
-
-def _pilot_weights(kernel: SmoothingKernel, T: int, h_pilot: float) -> np.ndarray:
-    """The pilot fit's kernel weights, the W that _pilot_residuals' designs
-    share while a caller holds it."""
-    us, hs, _ = _pilot_points(T, h_pilot)
-    return _shared_weights(kernel, T, us, hs)
 
 
 @functools.lru_cache(maxsize=4)

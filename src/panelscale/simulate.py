@@ -23,10 +23,9 @@ import numpy as np
 from ._parallel import ordered_map
 from .cluster import dissimilarity_matrix, hac_cluster, select_k
 from .critvals import CriticalValue, gaussian_critical_value
-from .estimate import _shared_weights
 from .grid import Grid, build_grid_application
-from .kernels import SmoothingKernel
-from .lrv import HacConfig, _pilot_weights
+from .kernels import SmoothingKernel, _shared_weights
+from .lrv import HacConfig, _pilot_points
 from .multiscale import (
     _row_blocks,
     build_normalizers,
@@ -386,38 +385,39 @@ def _replication_seeds(base_seed: int, R: int) -> list[int]:
 
 
 def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
-           B: int, alpha: float, crit_seed: int,
-           n_workers: int) -> tuple[float, Grid, CriticalValue]:
-    """Start the clock, validate R, default the grid and get the one Gaussian
-    critical value that every replication shares."""
+           hac: HacConfig, B: int, alpha: float, crit_seed: int,
+           n_workers: int) -> tuple[float, Grid, CriticalValue, tuple]:
+    """Start the clock, validate R and crit_seed, default the grid and get the
+    one Gaussian critical value that every replication shares. The grid and
+    pilot kernel weights are taken first and returned: the caller holds them
+    until it returns, so the draws and the replications share one build."""
     start = time.perf_counter()
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
+    if not 0 <= crit_seed < 2**63:  # the draw cache key's signed 64-bit field
+        raise ValueError(f"crit_seed={crit_seed} outside [0, 2**63)")
+    T = spec.n_time
     if grid is None:
-        grid = build_grid_application(spec.n_time)
+        grid = build_grid_application(T)
+    us, hs, _ = _pilot_points(T, hac.pilot_bandwidth)
+    held = (_shared_weights(kernel, T, grid.u, grid.h), _shared_weights(kernel, T, us, hs))
     crit = gaussian_critical_value(
-        spec.n_time, spec.n_units, spec.n_covariates, grid, kernel, B, crit_seed,
+        T, spec.n_units, spec.n_covariates, grid, kernel, B, crit_seed,
         alpha, n_workers=n_workers,
     )
-    return start, grid, crit
+    return start, grid, crit, held
 
 
-def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
-               hac: HacConfig, n_workers: int, outcome) -> list:
+def _replicate(spec: DgpSpec, R: int, grid: Grid, n_workers: int, outcome) -> list:
     """outcome(panel) for R panels drawn from spec, in replication order; the
     panels are generated a block at a time, the outcomes run on n_workers
-    threads only when one replication is large enough to pay. The grid and
-    pilot kernel weights are held for the whole run, so the replications
-    share one build of each."""
+    threads only when one replication is large enough to pay."""
     N, T, D = spec.n_units, spec.n_time, spec.n_covariates
     ops = grid.n_points * T * (N * D + D * D)
     workers = n_workers if ops >= _THREADED_REPLICATION_OPS else 1
-    weights = (_shared_weights(kernel, T, grid.u, grid.h),
-               _pilot_weights(kernel, T, hac.pilot_bandwidth))
     outcomes = []
     for n, panel in _panel_blocks(spec, _replication_seeds(spec.seed, R)):
         outcomes += ordered_map(lambda b: outcome(panel(b)), range(n), workers)
-    del weights  # the last replication is done with them
     return outcomes
 
 
@@ -447,12 +447,13 @@ def run_size_experiment(
     """Empirical rejection rate under a shared homogeneous coefficient curve."""
     if len(set(spec.curves)) != 1:
         raise ValueError("size experiment requires all units to share one curve")
-    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
+                                     crit_seed, n_workers)
 
     def outcome(panel: Panel) -> bool:
         return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
 
-    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "size", spec, R, alpha, B, start, crit,
         rejection_rate=rate, rejection_se=binomial_se(rate, R),
@@ -481,7 +482,8 @@ def run_power_experiment(
     """Rejection rate per signal scale; the deviating unit's Bump heights are
     multiplied by each scale. Also tracks how often the rejection list names a
     truly heterogeneous pair."""
-    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
+                                     crit_seed, n_workers)
     pairs = unit_pairs(spec.n_units)
     power_curve = []
     for scale in scales:
@@ -496,7 +498,7 @@ def run_power_experiment(
             named = any((r.i, r.j) in hetero for r in result.rejections)
             return result.reject_global, named
 
-        outcomes = _replicate(scaled, R, grid, kernel, hac, n_workers, outcome)
+        outcomes = _replicate(scaled, R, grid, n_workers, outcome)
         rate = float(np.mean([o[0] for o in outcomes]))
         power_curve.append(
             {
@@ -526,7 +528,8 @@ def run_fwer_experiment(
 ) -> ExperimentReport:
     """Fraction of replications with at least one rejection of a TRUE local
     null, membership decided analytically from the curves."""
-    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
+                                     crit_seed, n_workers)
     pairs = unit_pairs(spec.n_units)
     m0 = GroundTruth(curves=spec.curves).m0_mask(grid, pairs)
     true_nulls = {(*pairs[p], grid.points[g]) for p, g in zip(*np.nonzero(m0))}
@@ -535,7 +538,7 @@ def run_fwer_experiment(
         result = run_test(panel, kernel, grid, hac, alpha, crit)
         return any((r.i, r.j, (r.u, r.h)) in true_nulls for r in result.rejections)
 
-    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "fwer", spec, R, alpha, B, start, crit,
         extras={"n_true_nulls": int(m0.sum())},
@@ -557,7 +560,8 @@ def run_cluster_experiment(
     """Rate of exact group recovery (K_hat == K0 and partitions identical)."""
     if spec.group_assignment is None:
         raise ValueError("cluster experiment requires group_assignment ground truth")
-    start, grid, crit = _setup(spec, R, grid, kernel, B, alpha, crit_seed, n_workers)
+    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
+                                     crit_seed, n_workers)
     target = _partition(spec.group_assignment)
 
     def outcome(panel: Panel) -> bool:
@@ -567,7 +571,7 @@ def run_cluster_experiment(
         result = select_k(hac_cluster(d, "complete"), d, crit.q)
         return _partition(result.membership) == target
 
-    rate = float(np.mean(_replicate(spec, R, grid, kernel, hac, n_workers, outcome)))
+    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
     return _report(
         "cluster", spec, R, alpha, B, start, crit,
         extras={"k_true": len(target)},

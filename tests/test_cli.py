@@ -213,6 +213,36 @@ def test_cmd_test_bad_level_exits_2_before_any_draw(tmp_path, monkeypatch, level
     assert not cache.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test", "--pilot-h", "0.7"], "pilot bandwidth 0.7 outside (0, 1/2]"),
+        (["cluster", "--hac-bandwidth", "0.5"], "HAC bandwidth 0.5 must be finite and >= 1"),
+        (["test", "--seed", str(2**63)], f"seed={2**63} outside [0, 2**63)"),
+        (["cluster", "--B", str(2**63)], f"B={2**63} outside [0, 2**63)"),
+    ],
+    ids=["pilot-h-above-half", "hac-bandwidth-below-1", "seed-above-int64", "B-above-int64"],
+)
+def test_bad_hac_or_draw_flags_exit_2_before_any_draw_or_cache_read(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    from panelscale import critvals
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+
+    for name in ("simulate_phi", "load_draws"):
+        monkeypatch.setattr(critvals, name, refuse(name))
+    out, cache = tmp_path / "out", tmp_path / "draws.bin"
+    code = main(argv + ["--input", str(FIXTURE), "--out", str(out), "--crit-cache", str(cache)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not cache.exists()
+    assert not out.exists()
+
+
 def test_cmd_cluster_two_distinct_units(tmp_path):
     out = tmp_path / "out"
     code = main(["cluster", "--input", str(FIXTURE), "--out", str(out)] + FAST)
@@ -381,8 +411,12 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
             "experiment = size\nN = 2\nR = 3\nT = 100\nD = 1\nB = 120\nseed = -1\n",
             "seed must be a nonnegative integer, got -1",
         ),
+        (
+            f"experiment = size\nN = 2\nR = 3\ncrit_seed = {2**63}\n" + SIM_TINY,
+            f"crit_seed={2**63} outside [0, 2**63)",
+        ),
     ],
-    ids=["noise-sd-0", "seed-negative"],
+    ids=["noise-sd-0", "seed-negative", "crit-seed-above-int64"],
 )
 def test_cmd_simulate_refuses_before_any_draw(tmp_path, monkeypatch, capsys, config, message):
     from panelscale import simulate

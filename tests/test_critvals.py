@@ -25,7 +25,7 @@ from panelscale import (
     planted_bump_spec,
     simulate_phi,
 )
-from panelscale import critvals
+from panelscale import critvals, kernels
 from panelscale.critvals import draws_cache_key, load_draws, save_draws
 from panelscale.kernels import lambda_correction
 
@@ -152,11 +152,14 @@ def test_simulate_phi_bytes_pinned(shape):
 
 
 def test_simulate_phi_repeat_calls_equal():
-    # simulate_phi scales its own weights in place; a second call must not
-    # see the first call's scaling
+    # the draws scale the shared W into a float32 copy of their own: the
+    # shared array keeps weights_matrix's bits, and the draws are the same
+    # whether they build W themselves or find it held by a caller
     grid = build_grid_application(100)
     a = simulate_phi(100, 3, 2, grid, KERN, 100, seed=2)
+    W = kernels._shared_weights(KERN, 100, grid.u, grid.h)
     b = simulate_phi(100, 3, 2, grid, KERN, 100, seed=2)
+    np.testing.assert_array_equal(W, kernels.weights_matrix(KERN, 100, grid.u, grid.h))
     np.testing.assert_array_equal(a, b)
 
 

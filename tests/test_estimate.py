@@ -14,7 +14,7 @@ from panelscale import (
     compute_stat_table,
     local_design,
 )
-from panelscale import estimate
+from panelscale import kernels
 from panelscale.kernels import weights_matrix
 
 import oracles
@@ -202,23 +202,23 @@ def test_coefficient_curve_tracks_lipschitz_truth():
 
 def test_shared_weights_read_only_and_equal_to_weights_matrix():
     us, hs = np.array([0.25, 0.5]), np.array([0.125, 0.25])
-    W = estimate._shared_weights(KERN, 16, us, hs)
+    W = kernels._shared_weights(KERN, 16, us, hs)
     np.testing.assert_array_equal(W, weights_matrix(KERN, 16, us, hs))
-    assert estimate._shared_weights(KERN, 16, us, hs) is W
+    assert kernels._shared_weights(KERN, 16, us, hs) is W
     with pytest.raises(ValueError, match="read-only"):
         W[0, 0] = 1.0
 
 
 def test_shared_weights_freed_with_last_holder():
     us, hs = np.array([0.5]), np.array([0.25])
-    W = estimate._shared_weights(KERN, 40, us, hs)
+    W = kernels._shared_weights(KERN, 40, us, hs)
     ref = weakref.ref(W)
     # a key differs by kernel, T, locations and bandwidths
     for other in (
-        estimate._shared_weights(SmoothingKernel("biweight"), 40, us, hs),
-        estimate._shared_weights(KERN, 41, us, hs),
-        estimate._shared_weights(KERN, 40, np.array([0.4]), hs),
-        estimate._shared_weights(KERN, 40, us, np.array([0.2])),
+        kernels._shared_weights(SmoothingKernel("biweight"), 40, us, hs),
+        kernels._shared_weights(KERN, 41, us, hs),
+        kernels._shared_weights(KERN, 40, np.array([0.4]), hs),
+        kernels._shared_weights(KERN, 40, us, np.array([0.2])),
     ):
         assert not np.array_equal(W, other)
     del W, other
@@ -227,14 +227,14 @@ def test_shared_weights_freed_with_last_holder():
 
 def test_no_weights_alive_after_a_stat_table(monkeypatch):
     built = []
-    real = estimate.weights_matrix
+    real = kernels.weights_matrix
 
     def tracked(*args):
         W = real(*args)
         built.append(weakref.ref(W))
         return W
 
-    monkeypatch.setattr(estimate, "weights_matrix", tracked)
+    monkeypatch.setattr(kernels, "weights_matrix", tracked)
     panel = random_panel(np.random.default_rng(40), N=3, T=100, D=2)
     table = compute_stat_table(
         panel, KERN, build_grid_application(100), np.broadcast_to(np.eye(2), (3, 2, 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from panelscale import (
     separation_height,
     two_group_spec,
 )
-from panelscale import estimate, lrv, multiscale, simulate
+from panelscale import kernels, lrv, multiscale, simulate
 from panelscale.simulate import load_experiment_config, run_from_config
 
 import oracles
@@ -331,23 +332,33 @@ def test_threaded_replications_match_serial(monkeypatch):
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_replications_share_one_build_of_each_weight_matrix(monkeypatch, n_workers):
-    # the run holds its grid and pilot W; its replications only look them up
+    # a run holds its grid and pilot W from before its draws until it returns:
+    # the draws and the replications of every power scale only look them up
     monkeypatch.setattr(simulate, "_THREADED_REPLICATION_OPS", 0)
     seen = _record_workers(monkeypatch)
     built = []
-    real = estimate.weights_matrix
+    real = kernels.weights_matrix
 
     def counting(kernel, T, us, hs):
-        built.append(len(us))
-        return real(kernel, T, us, hs)
+        W = real(kernel, T, us, hs)
+        built.append((len(us), weakref.ref(W)))
+        return W
 
-    monkeypatch.setattr(estimate, "weights_matrix", counting)
+    monkeypatch.setattr(kernels, "weights_matrix", counting)
     grid = smoke_grid(100)
-    run_size_experiment(homogeneous_spec(N=3, T=100, D=1, seed=33), alpha=0.5,
-                        B=120, R=5, grid=grid, n_workers=n_workers)
     pilot_points = len(lrv._pilot_points(100, HacConfig().pilot_bandwidth)[0])
-    assert seen == [n_workers]
-    assert sorted(built) == sorted([grid.n_points, pilot_points])
+    bump = planted_bump_spec(N=3, T=100, D=1, seed=34, center=0.5, width=0.3, height=1.0)
+    for run in (
+        lambda: run_size_experiment(homogeneous_spec(N=3, T=100, D=1, seed=33), alpha=0.5,
+                                    B=120, R=5, grid=grid, n_workers=n_workers),
+        lambda: run_power_experiment(bump, [0.5, 1.0], alpha=0.5, B=120, R=3, grid=grid,
+                                     n_workers=n_workers),
+    ):
+        built.clear()
+        run()
+        assert sorted(n for n, _ in built) == sorted([grid.n_points, pilot_points])
+        assert all(ref() is None for _, ref in built)  # freed once the run returns
+    assert seen == [n_workers] * 3
 
 
 def test_config_parser(tmp_path):
