@@ -1,87 +1,97 @@
 """Multiscale heterogeneity testing and clustering for time-varying panel
-regression coefficients."""
+regression coefficients.
 
-from .cluster import (
-    ClusterResult,
-    Dissimilarity,
-    GroupDifferenceReport,
-    Merge,
-    dissimilarity_matrix,
-    group_difference_intervals,
-    hac_cluster,
-    partition_at,
-    select_k,
-)
-from .critvals import (
-    CriticalValue,
-    critical_value,
-    gaussian_critical_value,
-    simulate_phi,
-)
-from .errors import (
-    DegenerateCovarianceError,
-    GridError,
-    PanelFormatError,
-    PanelScaleError,
-    QuantileError,
-    SingularDesignError,
-)
-from .estimate import LocalDesign, beta_hat, coefficient_curve, local_design
-from .grid import Grid, build_grid_application, build_grid_custom
-from .kernels import (
-    SmoothingKernel,
-    kernel_eval,
-    kernel_weights,
-    lambda_correction,
-)
-from .lrv import (
-    HacConfig,
-    LongRunCov,
-    hac_estimate,
-    long_run_covariances,
-    pair_normalizer,
-    residual_series,
-)
-from .multiscale import (
-    LocalStatTable,
-    Rejection,
-    TestResult,
-    aggregate,
-    build_normalizers,
-    compute_stat_table,
-    local_stat,
-    prune_minimal,
-    run_test,
-    unit_pairs,
-)
-from .panel import (
-    CoefficientCurve,
-    Panel,
-    demean_units,
-    deseasonalize,
-    panel_from_csv,
-    panel_to_csv,
-)
-from .simulate import (
-    Bump,
-    Constant,
-    DgpSpec,
-    ExperimentReport,
-    GroundTruth,
-    Linear,
-    Sine,
-    generate_panel,
-    homogeneous_spec,
-    mixed_heterogeneity_spec,
-    planted_bump_spec,
-    run_cluster_experiment,
-    run_fwer_experiment,
-    run_power_experiment,
-    run_size_experiment,
-    separation_height,
-    two_group_spec,
-)
+`import panelscale` loads no submodule (PEP 562): a public name imports the
+submodule that defines it when it is first used, so a script that only
+defines a DGP or reads a Monte Carlo config does not load the test pipeline.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# each public submodule and the public names it defines
+_NAMES = {
+    "cluster": (
+        "ClusterResult", "Dissimilarity", "GroupDifferenceReport", "Merge",
+        "dissimilarity_matrix", "group_difference_intervals", "hac_cluster",
+        "partition_at", "select_k",
+    ),
+    "critvals": (
+        "CriticalValue", "critical_value", "gaussian_critical_value", "simulate_phi",
+    ),
+    "errors": (
+        "DegenerateCovarianceError", "GridError", "PanelFormatError",
+        "PanelScaleError", "QuantileError", "SingularDesignError",
+    ),
+    "estimate": ("LocalDesign", "beta_hat", "coefficient_curve", "local_design"),
+    "grid": ("Grid", "build_grid_application", "build_grid_custom"),
+    "kernels": (
+        "SmoothingKernel", "kernel_eval", "kernel_weights", "lambda_correction",
+    ),
+    "lrv": (
+        "HacConfig", "LongRunCov", "hac_estimate", "long_run_covariances",
+        "pair_normalizer", "residual_series",
+    ),
+    "multiscale": (
+        "LocalStatTable", "Rejection", "TestResult", "aggregate",
+        "build_normalizers", "compute_stat_table", "local_stat", "prune_minimal",
+        "run_test", "unit_pairs",
+    ),
+    "panel": (
+        "CoefficientCurve", "Panel", "demean_units", "deseasonalize",
+        "panel_from_csv", "panel_to_csv",
+    ),
+    "simulate": (
+        "Bump", "Constant", "DgpSpec", "ExperimentReport", "GroundTruth", "Linear",
+        "Sine", "generate_panel", "homogeneous_spec", "mixed_heterogeneity_spec",
+        "planted_bump_spec", "run_cluster_experiment", "run_fwer_experiment",
+        "run_power_experiment", "run_size_experiment", "separation_height",
+        "two_group_spec",
+    ),
+}
+_SOURCES = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = [*_NAMES, *_SOURCES]
+
+
+def _bind(namespace: dict, sources: dict, names) -> None:
+    """Bind each of names in namespace to the object of that name in the
+    submodule sources[name], importing the submodule on first use.
+
+    A name already bound is kept, so a replacement put there before the first
+    use (a test's patch, a tracer's wrapper) is not undone. Threads that bind
+    the same name at once all write the same object.
+    """
+    for name in names:
+        if name not in namespace:
+            module = importlib.import_module(f".{sources[name]}", __name__)
+            namespace[name] = getattr(module, name)
+
+
+def _deferred_getattr(namespace: dict, sources: dict):
+    """A module `__getattr__` (PEP 562) that binds a name of sources in
+    namespace when it is first looked up from outside."""
+
+    def __getattr__(name: str):
+        if name not in sources:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            )
+        _bind(namespace, sources, (name,))
+        return namespace[name]
+
+    return __getattr__
+
+
+_getattr_name = _deferred_getattr(globals(), _SOURCES)
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        return importlib.import_module(f".{name}", __name__)
+    return _getattr_name(name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__})

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _bind, _deferred_getattr
 from .cluster import (
     dissimilarity_matrix,
     group_difference_intervals,
@@ -38,8 +39,15 @@ from .kernels import KERNEL_KINDS, SmoothingKernel
 from .lrv import COV_KERNEL_KINDS, HacConfig
 from .multiscale import TestResult, build_normalizers, compute_stat_table, run_test
 from .panel import Panel, demean_units, deseasonalize, panel_from_csv, panel_to_csv
-from .schemas import RESULT_SCHEMA_VERSION
-from .simulate import load_experiment_config, run_from_config
+
+# names bound by _bind in the command that uses them, so that test and cluster
+# load no Monte Carlo harness
+_DEFERRED = {
+    "RESULT_SCHEMA_VERSION": "schemas",
+    "load_experiment_config": "simulate",
+    "run_from_config": "simulate",
+}
+__getattr__ = _deferred_getattr(globals(), _DEFERRED)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -191,6 +199,8 @@ def _prepare(
 
 
 def _result_payload(result: TestResult, panel: Panel, grid: Grid, args) -> dict:
+    _bind(globals(), _DEFERRED, ("RESULT_SCHEMA_VERSION",))
+
     def entry(r):
         return {
             "i": r.i,
@@ -336,6 +346,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _bind(globals(), _DEFERRED, ("load_experiment_config", "run_from_config"))
     cfg = load_experiment_config(args.config)
     report = run_from_config(cfg, n_workers=args.threads)
     out = Path(args.out)

@@ -74,12 +74,6 @@ def _philox_draws(seed: int):
     return np.random.Generator(bitgen), move_to
 
 
-def _draw_generator(seed: int, b: int) -> np.random.Generator:
-    gen, move_to = _philox_draws(seed)
-    move_to(b)
-    return gen
-
-
 def _max_pair_gap(sums: np.ndarray) -> np.ndarray:
     """max over unit pairs i < j of |S_i - S_j| for sums of shape (G, N, C),
     shape (G, C). It is max_i S - min_i S exactly: rounding is monotone, so

@@ -15,25 +15,37 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import ordered_map
-from .cluster import dissimilarity_matrix, hac_cluster, select_k
-from .critvals import CriticalValue, gaussian_critical_value
-from .grid import Grid, build_grid_application
+from . import _bind, _deferred_getattr
 from .kernels import SmoothingKernel, _shared_weights
 from .lrv import HacConfig, _pilot_points
-from .multiscale import (
-    _row_blocks,
-    build_normalizers,
-    compute_stat_table,
-    run_test,
-    unit_pairs,
-)
-from .panel import Panel
+
+# the names a run, an experiment or a panel generator needs, bound here by
+# _bind_deferred when one of them first runs: defining a DGP or reading a
+# config loads only kernels and lrv
+_DEFERRED = {
+    "Panel": "panel",
+    "ordered_map": "_parallel",
+    **dict.fromkeys(("dissimilarity_matrix", "hac_cluster", "select_k"), "cluster"),
+    **dict.fromkeys(("CriticalValue", "gaussian_critical_value"), "critvals"),
+    **dict.fromkeys(("Grid", "build_grid_application"), "grid"),
+    **dict.fromkeys(
+        ("_row_blocks", "build_normalizers", "compute_stat_table", "run_test",
+         "unit_pairs"),
+        "multiscale",
+    ),
+}
+__getattr__ = _deferred_getattr(globals(), _DEFERRED)
+
+
+def _bind_deferred() -> None:
+    _bind(globals(), _DEFERRED, _DEFERRED)
+
 
 # seed of the Gaussian draws behind the critical value every replication shares
 _CRIT_SEED = 1_234_567
@@ -110,6 +122,9 @@ class Bump:
     height: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("center", "width", "height"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"bump {name} {getattr(self, name)} must be finite")
         if self.width <= 0.0:
             raise ValueError("bump width must be positive")
 
@@ -268,6 +283,7 @@ def _panel_blocks(spec: DgpSpec, seeds):
     innovations. With coefficient 0 the step scales by sd*sqrt(1) = sd and
     adds 0*prev, so i.i.d. errors keep the bits of normals times sd.
     """
+    _bind_deferred()
     T, D, N = spec.n_time, spec.n_covariates, spec.n_units
     ar_covariates = spec.covariate_model == "intercept_plus_ar1"
     noisy = spec.noise_sd > 0.0
@@ -392,6 +408,7 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
     pilot kernel weights are taken first and returned: the caller holds them
     until it returns, so the draws and the replications share one build."""
     start = time.perf_counter()
+    _bind_deferred()
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
     if not 0 <= crit_seed < 2**63:  # the draw cache key's signed 64-bit field
@@ -721,8 +738,17 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
             "(fwer: 5, cluster: 3 + 3); remove the key 'N'"
         )
     cfg = {**_config_defaults(), **cfg}
+    for key, (parse, _) in _CONFIG_KEYS.items():
+        if parse is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise ValueError(f"{key} = {cfg[key]} must be finite")
+    scales = [float(s) for s in cfg["scales"].split(",")]
+    if not all(map(math.isfinite, scales)):
+        raise ValueError(f"scales = {cfg['scales']} must all be finite")
+    if cfg["pooled_lrv"] not in (0, 1):
+        raise ValueError(f"pooled_lrv = {cfg['pooled_lrv']} must be 0 or 1")
     if not cfg["noise_sd"] > 0.0:  # no long-run covariance to normalise by
         raise ValueError(f"noise_sd = {cfg['noise_sd']} must be positive")
+    _bind_deferred()
     N, T, D, seed = cfg["N"], cfg["T"], cfg["D"], cfg["seed"]
     noise = dict(ar_coef=cfg["ar_coef"], noise_sd=cfg["noise_sd"])
     hac = HacConfig(
@@ -746,7 +772,6 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
             N, T, D, seed, center=cfg["bump_center"],
             width=2.0 * h_ref if width is None else width, height=height, **noise,
         )
-        scales = [float(s) for s in cfg["scales"].split(",")]
         return run_power_experiment(spec, scales, **common)
     if kind == "fwer":
         spec = mixed_heterogeneity_spec(T, D, seed, height=height, **noise)

@@ -29,7 +29,7 @@ from panelscale import (
     two_group_spec,
 )
 from panelscale.cluster import dissimilarity_matrix, hac_cluster
-from panelscale.critvals import _draw_generator
+from panelscale.critvals import _philox_draws
 from panelscale.estimate import batched_designs
 from panelscale.grid import Grid
 from panelscale.kernels import lambda_correction
@@ -328,6 +328,9 @@ def test_c9_kernel_constants():
 
 def test_gaussian_draw_stream_disjointness():
     # sanity companion to criterion 8: per-draw Philox streams never overlap
-    a = _draw_generator(5, 0).standard_normal(8)
-    b = _draw_generator(5, 1).standard_normal(8)
+    gen, move_to = _philox_draws(5)
+    move_to(0)
+    a = gen.standard_normal(8)
+    move_to(1)
+    b = gen.standard_normal(8)
     assert not np.allclose(a, b)

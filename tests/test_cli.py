@@ -415,8 +415,35 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
             f"experiment = size\nN = 2\nR = 3\ncrit_seed = {2**63}\n" + SIM_TINY,
             f"crit_seed={2**63} outside [0, 2**63)",
         ),
+        ("experiment = power\nN = 3\nR = 3\nscales = nan\n" + SIM_TINY, "scales = nan"),
+        (
+            "experiment = power\nN = 3\nR = 3\nscales = 1.0,inf\n" + SIM_TINY,
+            "scales = 1.0,inf must all be finite",
+        ),
+        (
+            "experiment = power\nN = 3\nR = 3\nbump_width = nan\n" + SIM_TINY,
+            "bump_width = nan must be finite",
+        ),
+        (
+            "experiment = power\nN = 3\nR = 3\nbump_center = nan\n" + SIM_TINY,
+            "bump_center = nan must be finite",
+        ),
+        (
+            "experiment = power\nN = 3\nR = 3\nheight_c = nan\n" + SIM_TINY,
+            "height_c = nan must be finite",
+        ),
+        (
+            "experiment = cluster\nR = 3\nheight_c = -inf\n" + SIM_TINY,
+            "height_c = -inf must be finite",
+        ),
+        (
+            "experiment = size\nN = 3\nR = 3\npooled_lrv = 7\n" + SIM_TINY,
+            "pooled_lrv = 7 must be 0 or 1",
+        ),
     ],
-    ids=["noise-sd-0", "seed-negative", "crit-seed-above-int64"],
+    ids=["noise-sd-0", "seed-negative", "crit-seed-above-int64", "scales-nan",
+         "scales-inf", "bump-width-nan", "bump-center-nan", "height-c-nan",
+         "cluster-height-c-inf", "pooled-lrv-7"],
 )
 def test_cmd_simulate_refuses_before_any_draw(tmp_path, monkeypatch, capsys, config, message):
     from panelscale import simulate

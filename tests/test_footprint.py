@@ -1,8 +1,10 @@
 """What a run loads: importing the CLI and a warm-cache cluster run need no
 OpenSSL (hashlib) and no thread pool (concurrent.futures, which also loads
-logging). Each probe runs in a fresh interpreter and compares sys.modules
-against the same interpreter's state before it imports panelscale, so
-modules that site .pth files load on some hosts do not count."""
+logging), importing the package loads no submodule, and neither the CLI nor
+a DGP loads more of the pipeline than it runs. Each probe runs in a fresh
+interpreter and compares sys.modules against the same interpreter's state
+before it imports panelscale, so modules that site .pth files load on some
+hosts do not count."""
 
 import json
 import os
@@ -42,10 +44,55 @@ def _modules_added(body: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def test_package_import_loads_no_submodule():
+    assert _modules_added("import panelscale") == {"panelscale"}
+
+
 def test_cli_import_loads_no_hashlib_or_thread_pool():
     added = _modules_added("import panelscale.cli")
     assert "panelscale.cli" in added
     assert not added & UNWANTED, sorted(added & UNWANTED)
+    # the Monte Carlo harness and the result schema load in their commands
+    assert not added & {"panelscale.simulate", "panelscale.schemas"}
+
+
+def test_dgp_and_config_reader_load_no_test_pipeline():
+    added = _modules_added(
+        "from panelscale.simulate import load_experiment_config, homogeneous_spec"
+    )
+    pipeline = {f"panelscale.{m}" for m in ("critvals", "grid", "multiscale",
+                                             "cluster", "_parallel", "estimate",
+                                             "panel")}
+    assert "panelscale.simulate" in added
+    assert not added & pipeline, sorted(added & pipeline)
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from panelscale import *", namespace)
+    for name in panelscale.__all__:
+        assert namespace[name] is getattr(panelscale, name), name
+    assert set(panelscale.__all__) <= set(dir(panelscale))
+
+
+def test_deferred_names_resolve_and_keep_a_replacement():
+    # a tracer resolves these names by attribute access and rebinds them
+    # before a run; the first run must not put the originals back
+    body = """
+import panelscale.cli as cli
+import panelscale.simulate as simulate
+from panelscale import critvals, estimate, lrv, multiscale, schemas
+assert cli.RESULT_SCHEMA_VERSION == schemas.RESULT_SCHEMA_VERSION
+assert cli.run_from_config is simulate.run_from_config
+assert simulate.run_test is multiscale.run_test
+assert lrv.batched_designs is estimate.batched_designs
+replaced = lambda *args, **kwargs: None
+simulate.ordered_map = replaced
+simulate._bind_deferred()
+assert simulate.ordered_map is replaced
+assert simulate.gaussian_critical_value is critvals.gaussian_critical_value
+"""
+    _modules_added(body)
 
 
 def test_warm_cache_cluster_loads_no_hashlib_or_thread_pool(tmp_path):
@@ -65,6 +112,7 @@ def test_warm_cache_cluster_loads_no_hashlib_or_thread_pool(tmp_path):
         f"assert main({argv!r}) == 0"
     )
     assert not added & UNWANTED, sorted(added & UNWANTED)
+    assert "panelscale.simulate" not in added
     for name in ("membership.csv", "dendrogram.json", "group_differences.csv"):
         assert (tmp_path / "warm" / name).read_bytes() == (
             tmp_path / "cold" / name

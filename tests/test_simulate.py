@@ -43,6 +43,13 @@ def test_bump_shape():
     np.testing.assert_allclose(vals[7:], 0.0)
 
 
+@pytest.mark.parametrize("field", ["center", "width", "height"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bump_refuses_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match=f"bump {field} .* must be finite"):
+        Bump(**{field: value})
+
+
 def test_bump_is_lipschitz():
     b = Bump(center=0.4, width=0.2, height=3.0)
     u = np.linspace(0, 1, 20001)
