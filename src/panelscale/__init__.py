@@ -55,36 +55,45 @@ _SOURCES = {name: module for module, names in _NAMES.items() for name in names}
 __all__ = [*_NAMES, *_SOURCES]
 
 
-def _bind(namespace: dict, sources: dict, names) -> None:
-    """Bind each of names in namespace to the object of that name in the
-    submodule sources[name], importing the submodule on first use.
+# the private names that modules bind on first use, and their submodules
+_PRIVATE = {
+    "ordered_map": "_parallel",
+    **dict.fromkeys(("batched_beta", "batched_designs", "solve_mask"), "estimate"),
+    "RESULT_SCHEMA_VERSION": "schemas",
+    **dict.fromkeys(("load_experiment_config", "run_from_config"), "simulate"),
+}
+
+
+def _deferred(namespace: dict, names):
+    """A module `__getattr__` (PEP 562) for names, and a bind(*names) that
+    binds each of them (all of them when none is given) in namespace to the
+    object of that name in its submodule, importing the submodule on first
+    use.
 
     A name already bound is kept, so a replacement put there before the first
     use (a test's patch, a tracer's wrapper) is not undone. Threads that bind
     the same name at once all write the same object.
     """
-    for name in names:
-        if name not in namespace:
-            module = importlib.import_module(f".{sources[name]}", __name__)
-            namespace[name] = getattr(module, name)
 
-
-def _deferred_getattr(namespace: dict, sources: dict):
-    """A module `__getattr__` (PEP 562) that binds a name of sources in
-    namespace when it is first looked up from outside."""
+    def bind(*which) -> None:
+        for name in which or names:
+            if name not in namespace:
+                source = _SOURCES.get(name) or _PRIVATE[name]
+                module = importlib.import_module(f".{source}", __name__)
+                namespace[name] = getattr(module, name)
 
     def __getattr__(name: str):
-        if name not in sources:
+        if name not in names:
             raise AttributeError(
                 f"module {namespace['__name__']!r} has no attribute {name!r}"
             )
-        _bind(namespace, sources, (name,))
+        bind(name)
         return namespace[name]
 
-    return __getattr__
+    return __getattr__, bind
 
 
-_getattr_name = _deferred_getattr(globals(), _SOURCES)
+_getattr_name, _ = _deferred(globals(), _SOURCES)
 
 
 def __getattr__(name: str):

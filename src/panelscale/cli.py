@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _bind, _deferred_getattr
+from . import _deferred
 from .cluster import (
     dissimilarity_matrix,
     group_difference_intervals,
@@ -40,14 +40,11 @@ from .lrv import COV_KERNEL_KINDS, HacConfig
 from .multiscale import TestResult, build_normalizers, compute_stat_table, run_test
 from .panel import Panel, demean_units, deseasonalize, panel_from_csv, panel_to_csv
 
-# names bound by _bind in the command that uses them, so that test and cluster
-# load no Monte Carlo harness
-_DEFERRED = {
-    "RESULT_SCHEMA_VERSION": "schemas",
-    "load_experiment_config": "simulate",
-    "run_from_config": "simulate",
-}
-__getattr__ = _deferred_getattr(globals(), _DEFERRED)
+# names bound by _bind_deferred in the command that uses them, so that test
+# and cluster load no Monte Carlo harness
+__getattr__, _bind_deferred = _deferred(
+    globals(), ("RESULT_SCHEMA_VERSION", "load_experiment_config", "run_from_config")
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -133,7 +130,7 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--hac-bandwidth",
         type=float,
-        default=_env_default("HAC_BANDWIDTH", None),
+        default=_env_default("HAC_BANDWIDTH", HacConfig.bandwidth),
         help="HAC bandwidth chi (default: floor(T^(1/3)))",
     )
     parser.add_argument(
@@ -199,7 +196,7 @@ def _prepare(
 
 
 def _result_payload(result: TestResult, panel: Panel, grid: Grid, args) -> dict:
-    _bind(globals(), _DEFERRED, ("RESULT_SCHEMA_VERSION",))
+    _bind_deferred("RESULT_SCHEMA_VERSION")
 
     def entry(r):
         return {
@@ -346,7 +343,7 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _bind(globals(), _DEFERRED, ("load_experiment_config", "run_from_config"))
+    _bind_deferred("load_experiment_config", "run_from_config")
     cfg = load_experiment_config(args.config)
     report = run_from_config(cfg, n_workers=args.threads)
     out = Path(args.out)

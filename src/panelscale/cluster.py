@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PanelFormatError
-from .multiscale import LocalStatTable, _row_blocks
+from .kernels import _row_blocks
+from .multiscale import LocalStatTable, unit_pairs
 
 LINKAGES = ("complete", "single", "average")
 
@@ -70,9 +71,11 @@ class GroupDifferenceReport:
 
 def dissimilarity_matrix(table: LocalStatTable) -> Dissimilarity:
     """d_ij = max over gridpoints of (S_ij - lambda); exact max, symmetric."""
-    n = max(max(p) for p in table.pairs) + 1
-    if len(table.pairs) != n * (n - 1) // 2:
-        raise ValueError("table must cover every unit pair")
+    if not table.pairs:
+        raise ValueError("table has no unit pairs")
+    n = max(map(max, table.pairs)) + 1
+    if sorted(tuple(sorted(p)) for p in table.pairs) != list(unit_pairs(n)):
+        raise ValueError(f"table must cover every unit pair of 0..{n - 1} exactly once")
     d = np.zeros((n, n))
     i, j = np.asarray(table.pairs).T
     d[i, j] = d[j, i] = table.pair_max

@@ -151,6 +151,17 @@ def window_sums(W: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return out
 
 
+# bytes of the temporaries a row block holds: the statistic table, its
+# reductions, pruning and the panel generator's normals go a block at a time
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n_rows: int, n_cols: int):
+    """Slices of at least one row each, at most _BLOCK_BYTES of float rows."""
+    step = max(1, _BLOCK_BYTES // (8 * n_cols))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
 def lambda_correction(h: float) -> float:
     """Additive multiple-testing penalty sqrt(2 log(1/(2h))) for scale h."""
     if not 0.0 < h <= 0.5:

@@ -22,19 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _bind, _deferred_getattr
+from . import _deferred
 from .errors import DegenerateCovarianceError, SingularDesignError
 from .kernels import SmoothingKernel
 
 # the pilot fit's estimator (and Panel, which only annotates here), bound by
-# _bind when a pilot fit first runs, so that a module that only needs
+# _bind_deferred when a pilot fit first runs, so that a module that only needs
 # HacConfig, as a Monte Carlo config reader does, loads neither estimate nor
 # panel
-_DEFERRED = {
-    **dict.fromkeys(("batched_beta", "batched_designs", "solve_mask"), "estimate"),
-    "Panel": "panel",
-}
-__getattr__ = _deferred_getattr(globals(), _DEFERRED)
+__getattr__, _bind_deferred = _deferred(
+    globals(), ("batched_beta", "batched_designs", "solve_mask", "Panel")
+)
 
 COV_KERNEL_KINDS = ("bartlett", "parzen", "quadratic_spectral")
 
@@ -133,7 +131,7 @@ def _pilot_residuals(
     panel: Panel, kernel: SmoothingKernel, h_pilot: float
 ) -> np.ndarray:
     """residual_series for every unit at once, shape (N, T, D)."""
-    _bind(globals(), _DEFERRED, _DEFERRED)
+    _bind_deferred()
     if not 0.0 < h_pilot <= 0.5:
         raise ValueError(f"pilot bandwidth {h_pilot} outside (0, 1/2]")
     us, hs, inverse = _pilot_points(panel.n_time, h_pilot)

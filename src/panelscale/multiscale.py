@@ -22,16 +22,13 @@ from .critvals import CriticalValue
 from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
-from .kernels import SmoothingKernel
+from .kernels import SmoothingKernel, _row_blocks
 from .lrv import HacConfig, _pair_roots, _unit_sigmas
 # perfbench's tracer looks both up here
 from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
 from .panel import Panel
 
 IDENTITY_TOL = 1e-8
-# bytes of temporaries compute_stat_table, each reduction over a
-# LocalStatTable and prune_minimal hold at once
-_BLOCK_BYTES = 1 << 20
 
 
 def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
@@ -46,12 +43,6 @@ def _pair_index(n_units: int) -> tuple[np.ndarray, np.ndarray]:
     i_idx.setflags(write=False)
     j_idx.setflags(write=False)
     return i_idx, j_idx
-
-
-def _row_blocks(n_rows: int, n_cols: int):
-    """Slices of at least one row each, at most _BLOCK_BYTES of float rows."""
-    step = max(1, _BLOCK_BYTES // (8 * n_cols))
-    return (slice(start, start + step) for start in range(0, n_rows, step))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

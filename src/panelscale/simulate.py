@@ -21,30 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _bind, _deferred_getattr
-from .kernels import SmoothingKernel, _shared_weights
+from . import _deferred
+from .kernels import SmoothingKernel, _row_blocks, _shared_weights
 from .lrv import HacConfig, _pilot_points
 
 # the names a run, an experiment or a panel generator needs, bound here by
 # _bind_deferred when one of them first runs: defining a DGP or reading a
-# config loads only kernels and lrv
-_DEFERRED = {
-    "Panel": "panel",
-    "ordered_map": "_parallel",
-    **dict.fromkeys(("dissimilarity_matrix", "hac_cluster", "select_k"), "cluster"),
-    **dict.fromkeys(("CriticalValue", "gaussian_critical_value"), "critvals"),
-    **dict.fromkeys(("Grid", "build_grid_application"), "grid"),
-    **dict.fromkeys(
-        ("_row_blocks", "build_normalizers", "compute_stat_table", "run_test",
-         "unit_pairs"),
-        "multiscale",
-    ),
-}
-__getattr__ = _deferred_getattr(globals(), _DEFERRED)
-
-
-def _bind_deferred() -> None:
-    _bind(globals(), _DEFERRED, _DEFERRED)
+# config loads only kernels and lrv, and generating a panel adds panel
+__getattr__, _bind_deferred = _deferred(globals(), (
+    "Panel", "ordered_map", "dissimilarity_matrix", "hac_cluster", "select_k",
+    "CriticalValue", "gaussian_critical_value", "Grid", "build_grid_application",
+    "build_normalizers", "compute_stat_table", "run_test", "unit_pairs",
+))
 
 
 # seed of the Gaussian draws behind the critical value every replication shares
@@ -283,7 +271,7 @@ def _panel_blocks(spec: DgpSpec, seeds):
     innovations. With coefficient 0 the step scales by sd*sqrt(1) = sd and
     adds 0*prev, so i.i.d. errors keep the bits of normals times sd.
     """
-    _bind_deferred()
+    _bind_deferred("Panel")
     T, D, N = spec.n_time, spec.n_covariates, spec.n_units
     ar_covariates = spec.covariate_model == "intercept_plus_ar1"
     noisy = spec.noise_sd > 0.0
@@ -663,9 +651,8 @@ def two_group_spec(T: int, D: int, seed: int, height: float,
 # ---------------------------------------------------------------------------
 # config-file driven entry point (used by the CLI)
 
-# each key's parser and default. A callable default is read when the run
-# starts, so the HAC keys follow HacConfig; None is no default: experiment is
-# required and bump_width defaults to twice the smallest grid bandwidth.
+# each key's parser and default. None is no default: experiment is required
+# and bump_width defaults to twice the smallest grid bandwidth.
 _CONFIG_KEYS = {
     "experiment": (str, None),
     "N": (int, 5),
@@ -682,18 +669,15 @@ _CONFIG_KEYS = {
     "scales": (str, "1.0"),
     "bump_center": (float, 0.5),
     "bump_width": (float, None),
-    "hac_kernel": (str, lambda: HacConfig.cov_kernel),
-    "hac_bandwidth": (float, lambda: HacConfig.bandwidth),
-    "pilot_h": (float, lambda: HacConfig.pilot_bandwidth),
+    "hac_kernel": (str, HacConfig.cov_kernel),
+    "hac_bandwidth": (float, HacConfig.bandwidth),
+    "pilot_h": (float, HacConfig.pilot_bandwidth),
     "pooled_lrv": (int, 0),
 }
 
 
 def _config_defaults() -> dict:
-    return {
-        key: default() if callable(default) else default
-        for key, (_, default) in _CONFIG_KEYS.items()
-    }
+    return {key: default for key, (_, default) in _CONFIG_KEYS.items()}
 
 
 def load_experiment_config(path) -> dict:

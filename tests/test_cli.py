@@ -8,7 +8,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from panelscale import HacConfig, Panel, generate_panel, homogeneous_spec, panel_to_csv
+from panelscale import (
+    HacConfig,
+    Panel,
+    generate_panel,
+    homogeneous_spec,
+    panel_to_csv,
+    two_group_spec,
+)
 from panelscale.cli import main
 from panelscale.schemas import RESULT_SCHEMA
 
@@ -259,6 +266,27 @@ def test_cmd_cluster_two_distinct_units(tmp_path):
     assert len(diffs) > 1  # header plus at least one significant interval
 
 
+@pytest.mark.parametrize("linkage", ["single", "average"])
+def test_cmd_cluster_linkage(tmp_path, linkage):
+    panel, truth = generate_panel(two_group_spec(T=200, D=1, seed=4, height=3.0))
+    path = tmp_path / "six.csv"
+    panel_to_csv(panel, path, "long")
+    final_height = {}
+    for name in (linkage, "complete"):
+        out = tmp_path / name
+        assert main(["cluster", "--input", str(path), "--linkage", name,
+                     "--out", str(out)] + FAST) == 0
+        with open(out / "membership.csv") as fh:
+            labels = [int(r[1]) for r in list(csv.reader(fh))[1:]]
+        assert len(labels) == 6
+        assert labels == [1 + g for g in truth.group_assignment]
+        merges = json.loads((out / "dendrogram.json").read_text())["merges"]
+        final_height[name] = merges[-1]["height"]
+    # the last merge joins the two groups at the min (single) or mean
+    # (average) of their cross distances, below complete linkage's max
+    assert final_height[linkage] < final_height["complete"]
+
+
 def test_cmd_cluster_k_override(tmp_path):
     out = tmp_path / "out"
     code = main(
@@ -484,21 +512,29 @@ def test_cmd_simulate_out_from_env(tmp_path, monkeypatch):
 
 
 def test_hac_defaults_come_from_hac_config(monkeypatch):
+    import importlib
     from dataclasses import dataclass
 
-    from panelscale import cli, simulate
+    import panelscale
+    from panelscale import cli, lrv
 
     @dataclass(frozen=True)
     class OtherDefaults(HacConfig):
         cov_kernel: str = "parzen"
+        bandwidth: float | None = 3.0
         pilot_bandwidth: float = 0.4
 
     monkeypatch.setattr(cli, "HacConfig", OtherDefaults)
     args = cli.build_parser().parse_args(["test", "--input", "x.csv"])
-    assert (args.hac_kernel, args.pilot_h) == ("parzen", 0.4)
+    assert (args.hac_kernel, args.hac_bandwidth, args.pilot_h) == ("parzen", 3.0, 0.4)
 
+    # simulate's config keys take HacConfig's defaults when it is imported,
+    # so a fresh simulate is imported with the other defaults in place
     seen = {}
-    monkeypatch.setattr(simulate, "HacConfig", OtherDefaults)
+    monkeypatch.setattr(lrv, "HacConfig", OtherDefaults)
+    monkeypatch.delitem(sys.modules, "panelscale.simulate")
+    monkeypatch.setattr(panelscale, "simulate", panelscale.simulate)
+    simulate = importlib.import_module("panelscale.simulate")
     monkeypatch.setattr(
         simulate, "run_size_experiment", lambda spec, **kw: seen.update(kw)
     )
@@ -654,3 +690,17 @@ def test_cmd_test_header_only_file_exits_2(tmp_path, capsys, layout, header):
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         main(["test", "--input", "x.csv", "--bogus", "1"])
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"panel.csv"' in code
+    exec(code.replace('"panel.csv"', repr(str(FIXTURE))), {})
+    lines = capsys.readouterr().out.splitlines()
+    # the planted bump is found, and the clustering line ends the output
+    assert lines[0].startswith("True ")
+    assert any(line.startswith("units ") for line in lines[1:-1])
+    k_hat, membership = lines[-1].split(" ", 1)
+    assert int(k_hat) >= 2 and membership.startswith("(")

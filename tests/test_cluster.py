@@ -74,6 +74,32 @@ def test_dissimilarity_rejects_non_finite(bad):
         Dissimilarity(d=m)
 
 
+def _constant_table(pairs, value=5.0):
+    grid = build_grid_application(100)
+    lam = np.array([lambda_correction(h) for h in grid.h])
+    s = np.full((len(pairs), grid.n_points), value)
+    return LocalStatTable(grid=grid, pairs=pairs, s_hat=s, lam=lam)
+
+
+@pytest.mark.parametrize(
+    "pairs", [((0, 1), (0, 1), (1, 2)), ((0, 0), (0, 1), (1, 2)), ((0, 1), (1, 2), (2, 1))]
+)
+def test_dissimilarity_rejects_pairs_other_than_each_unit_pair_once(pairs):
+    # no table holds (0, 2): read as 0, it would put units 0 and 2 in one group
+    with pytest.raises(ValueError, match="every unit pair of 0..2 exactly once"):
+        dissimilarity_matrix(_constant_table(pairs))
+    # any order and either orientation of the pairs is accepted
+    shuffled = dissimilarity_matrix(_constant_table(((1, 2), (2, 0), (1, 0))))
+    np.testing.assert_array_equal(
+        shuffled.d, dissimilarity_matrix(_constant_table(unit_pairs(3))).d
+    )
+
+
+def test_dissimilarity_rejects_table_without_pairs():
+    with pytest.raises(ValueError, match="no unit pairs"):
+        dissimilarity_matrix(_constant_table(()))
+
+
 def test_three_unit_merge_sequence():
     d = Dissimilarity(
         d=np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 6.0], [5.0, 6.0, 0.0]])

@@ -67,6 +67,17 @@ def test_dgp_and_config_reader_load_no_test_pipeline():
     assert not added & pipeline, sorted(added & pipeline)
 
 
+def test_generate_panel_loads_only_the_panel_module():
+    added = _modules_added(
+        "from panelscale.simulate import generate_panel, homogeneous_spec\n"
+        "generate_panel(homogeneous_spec(5, 300, 2, 1))"
+    )
+    package = {n for n in added if n == "panelscale" or n.startswith("panelscale.")}
+    assert package == {"panelscale"} | {
+        f"panelscale.{m}" for m in ("errors", "kernels", "lrv", "panel", "simulate")
+    }
+
+
 def test_every_public_name_resolves():
     namespace = {}
     exec("from panelscale import *", namespace)

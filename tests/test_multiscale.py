@@ -22,7 +22,7 @@ from panelscale import (
     run_test,
     unit_pairs,
 )
-from panelscale import multiscale
+from panelscale import kernels, multiscale
 from panelscale.estimate import batched_designs
 from panelscale.kernels import lambda_correction
 
@@ -307,7 +307,7 @@ def test_prune_equals_all_pairs_scan(monkeypatch, block_rows):
     entries = lattice_rejections(np.random.default_rng(13), n_pairs=4, per_pair=30)
     if block_rows is not None:
         # each pair has 33 intervals: its comparisons split into row blocks
-        monkeypatch.setattr(multiscale, "_BLOCK_BYTES", block_rows * 8 * 33)
+        monkeypatch.setattr(kernels, "_BLOCK_BYTES", block_rows * 8 * 33)
     kept = prune_minimal(entries)
     ref = oracles.naive_prune_minimal(entries)
     assert len(ref) < len(entries)
@@ -396,10 +396,10 @@ def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
     one_block = compute_stat_table(panel, KERN, grid, normalizers).s_hat
     # _pair_stats budgets 2 * D * G floats a pair
     pair_bytes = 16 * panel.n_covariates * grid.n_points
-    assert len(normalizers) * pair_bytes <= multiscale._BLOCK_BYTES
+    assert len(normalizers) * pair_bytes <= kernels._BLOCK_BYTES
     # 4 pairs per block leaves a short last block of 3
-    monkeypatch.setattr(multiscale, "_BLOCK_BYTES", pairs_per_block * pair_bytes)
-    assert next(multiscale._row_blocks(15, pair_bytes // 8)) == slice(0, pairs_per_block)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", pairs_per_block * pair_bytes)
+    assert next(kernels._row_blocks(15, pair_bytes // 8)) == slice(0, pairs_per_block)
     blocked = compute_stat_table(panel, KERN, grid, normalizers).s_hat
     np.testing.assert_array_equal(blocked, one_block)
 

@@ -26,7 +26,7 @@ from panelscale import (
     separation_height,
     two_group_spec,
 )
-from panelscale import kernels, lrv, multiscale, simulate
+from panelscale import kernels, lrv, simulate
 from panelscale.simulate import load_experiment_config, run_from_config
 
 import oracles
@@ -460,7 +460,7 @@ def test_generate_panel_matches_one_call_per_series(
     )
     n_x = 50 * (D - 1 if covariate_model == "intercept_plus_ar1" else D)
     n_z = n_x + (3 * 50 if noise_sd > 0.0 else 0)
-    monkeypatch.setattr(multiscale, "_BLOCK_BYTES", 2 * 8 * max(1, n_z))
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 2 * 8 * max(1, n_z))
     seeds = [spec.seed + r for r in range(5)]
     blocks = [[panel(b) for b in range(n)] for n, panel in simulate._panel_blocks(spec, seeds)]
     assert [len(b) for b in blocks] == [2, 2, 1]

@@ -1,5 +1,5 @@
 """The reductions over a LocalStatTable and the stat table itself work in
-row blocks of at most multiscale._BLOCK_BYTES: the results equal the naive
+row blocks of at most kernels._BLOCK_BYTES: the results equal the naive
 full-table oracles for any block size, and no step holds a temporary the
 size of the table."""
 
@@ -24,7 +24,7 @@ from panelscale import (
     select_k,
     unit_pairs,
 )
-from panelscale import multiscale
+from panelscale import kernels
 from panelscale.estimate import batched_designs
 from panelscale.multiscale import _collect_rejections
 
@@ -52,7 +52,7 @@ def tie_table(n_units=7, T=100, seed=21):
 @pytest.mark.parametrize("rows", [1, 4, 1000])
 def test_reductions_equal_oracles_across_row_blocks(monkeypatch, rows):
     s, lam, grid, q = tie_table()
-    monkeypatch.setattr(multiscale, "_BLOCK_BYTES", rows * 8 * grid.n_points)
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", rows * 8 * grid.n_points)
     pairs = unit_pairs(7)
     table = LocalStatTable(grid=grid, pairs=pairs, s_hat=s, lam=lam)
 
@@ -106,7 +106,7 @@ def traced_peak(fn):
 def test_table_reductions_peak_within_two_blocks():
     grid, pairs, s = synthetic_table()
     assert s.nbytes >= 20 << 20
-    bound = 2 * multiscale._BLOCK_BYTES + 64 * (len(pairs) + grid.n_points)
+    bound = 2 * kernels._BLOCK_BYTES + 64 * (len(pairs) + grid.n_points)
     table = LocalStatTable(grid=grid, pairs=pairs, s_hat=s, lam=grid.lam)
     d = dissimilarity_matrix(table)
     res = select_k(hac_cluster(d, "complete"), d, q_alpha=0.0, k_override=3)
@@ -131,7 +131,7 @@ def test_stat_table_peak_within_table_sums_and_two_blocks():
     _, a = batched_designs(panel, KERN, grid.u, grid.h)
     peak = traced_peak(lambda: compute_stat_table(panel, KERN, grid, normalizers))
     s_bytes = len(normalizers) * grid.n_points * 8
-    assert peak < s_bytes + a.nbytes + 2 * multiscale._BLOCK_BYTES
+    assert peak < s_bytes + a.nbytes + 2 * kernels._BLOCK_BYTES
 
 
 def test_prune_peak_within_two_blocks():
@@ -144,4 +144,4 @@ def test_prune_peak_within_two_blocks():
     assert 0 < len(prune_minimal(entries)) < len(entries)
     peak = traced_peak(lambda: prune_minimal(entries))
     # the pair's (3900, 3900) comparison alone would be 15 MB as booleans
-    assert peak < 2 * multiscale._BLOCK_BYTES + 128 * len(entries), peak
+    assert peak < 2 * kernels._BLOCK_BYTES + 128 * len(entries), peak
