@@ -27,11 +27,12 @@ _NAMES = {
     "estimate": ("LocalDesign", "beta_hat", "coefficient_curve", "local_design"),
     "grid": ("Grid", "build_grid_application", "build_grid_custom"),
     "kernels": (
-        "SmoothingKernel", "kernel_eval", "kernel_weights", "lambda_correction",
+        "HacConfig", "SmoothingKernel", "kernel_eval", "kernel_weights",
+        "lambda_correction",
     ),
     "lrv": (
-        "HacConfig", "LongRunCov", "hac_estimate", "long_run_covariances",
-        "pair_normalizer", "residual_series",
+        "LongRunCov", "hac_estimate", "long_run_covariances", "pair_normalizer",
+        "residual_series",
     ),
     "multiscale": (
         "LocalStatTable", "Rejection", "TestResult", "aggregate",
@@ -58,7 +59,6 @@ __all__ = [*_NAMES, *_SOURCES]
 # the private names that modules bind on first use, and their submodules
 _PRIVATE = {
     "ordered_map": "_parallel",
-    **dict.fromkeys(("batched_beta", "batched_designs", "solve_mask"), "estimate"),
     "RESULT_SCHEMA_VERSION": "schemas",
     **dict.fromkeys(("load_experiment_config", "run_from_config"), "simulate"),
 }

@@ -35,8 +35,7 @@ from .errors import (
 )
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, build_grid_application, build_grid_custom
-from .kernels import KERNEL_KINDS, SmoothingKernel
-from .lrv import COV_KERNEL_KINDS, HacConfig
+from .kernels import COV_KERNEL_KINDS, KERNEL_KINDS, HacConfig, SmoothingKernel
 from .multiscale import TestResult, build_normalizers, compute_stat_table, run_test
 from .panel import Panel, demean_units, deseasonalize, panel_from_csv, panel_to_csv
 
@@ -157,7 +156,12 @@ def _build_grid(args, T: int) -> Grid:
         return build_grid_application(T)
     if args.u_step is None or args.h is None:
         raise PanelFormatError("--grid custom requires --u-step and --h")
-    h_values = [float(tok) for tok in str(args.h).split(",") if tok.strip()]
+    try:
+        h_values = [float(tok) for tok in args.h.split(",") if tok.strip()]
+    except ValueError:
+        h_values = []
+    if not h_values:
+        raise PanelFormatError(f"--h {args.h!r} must list numbers")
     return build_grid_custom(T, args.u_step, h_values)
 
 

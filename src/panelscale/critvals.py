@@ -182,13 +182,15 @@ def gaussian_critical_value(
     n_workers: int = 1,
     cache_path=None,
 ) -> CriticalValue:
-    """simulate_phi + critical_value, with optional draw caching. alpha and
-    B are checked before any draw is made or read."""
+    """simulate_phi + critical_value, with optional draw caching. alpha, B
+    and the cache's directory are checked before any draw is made or read."""
     _check_quantile(alpha, B)
     check_grid_T(grid, T)
     draws = None
     key = draws_cache_key(T, N, D, grid, kernel, B, seed)
     if cache_path is not None:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(cache_path))):
+            raise FileNotFoundError(f"draw cache {cache_path}: no such directory")
         draws = load_draws(cache_path, key)
         if draws is not None and draws.size != B:
             draws = None

@@ -12,89 +12,21 @@ design depends only on X, so one pilot fit (one design build, one guard
 and one solve) serves all units, and one batched HAC estimates every unit's
 Sigma as one (N, D, D) stack. One batched pass over that stack gives every
 pair's normalizer, the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
+
+HacConfig, the covariance kernels kappa and the pilot points are kernels'.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _deferred
 from .errors import DegenerateCovarianceError, SingularDesignError
-from .kernels import SmoothingKernel
-
-# the pilot fit's estimator (and Panel, which only annotates here), bound by
-# _bind_deferred when a pilot fit first runs, so that a module that only needs
-# HacConfig, as a Monte Carlo config reader does, loads neither estimate nor
-# panel
-__getattr__, _bind_deferred = _deferred(
-    globals(), ("batched_beta", "batched_designs", "solve_mask", "Panel")
-)
-
-COV_KERNEL_KINDS = ("bartlett", "parzen", "quadratic_spectral")
-
-
-def cov_kernel_weight(kind: str, x: np.ndarray) -> np.ndarray:
-    """Covariance kernel kappa evaluated at x = lag/bandwidth."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    if kind == "bartlett":
-        return np.maximum(0.0, 1.0 - ax)
-    if kind == "parzen":
-        return np.where(
-            ax <= 0.5,
-            1.0 - 6.0 * ax**2 + 6.0 * ax**3,
-            np.where(ax <= 1.0, 2.0 * (1.0 - ax) ** 3, 0.0),
-        )
-    if kind == "quadratic_spectral":
-        z = 6.0 * math.pi * ax / 5.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = 25.0 / (12.0 * math.pi**2 * ax**2) * (np.sin(z) / z - np.cos(z))
-        return np.where(ax < 1e-12, 1.0, val)
-    raise ValueError(f"unknown covariance kernel {kind!r}; choose {COV_KERNEL_KINDS}")
-
-
-def default_hac_bandwidth(T: int) -> float:
-    """Common-practice rule chi = floor(T^(1/3)), exact integer cube root."""
-    c = max(1, int(round(T ** (1.0 / 3.0))))
-    while (c + 1) ** 3 <= T:
-        c += 1
-    while c > 1 and c**3 > T:
-        c -= 1
-    return float(c)
-
-
-@dataclass(frozen=True)
-class HacConfig:
-    """HAC settings: covariance kernel, bandwidth chi, pilot bandwidth.
-
-    bandwidth=None resolves to floor(T^(1/3)) when the sample size is known.
-    pooled=True averages the per-unit estimates into one common matrix.
-    """
-
-    cov_kernel: str = "bartlett"
-    bandwidth: float | None = None
-    pilot_bandwidth: float = 0.25
-    pooled: bool = False
-
-    def __post_init__(self) -> None:
-        if self.cov_kernel not in COV_KERNEL_KINDS:
-            raise ValueError(
-                f"unknown covariance kernel {self.cov_kernel!r}; "
-                f"choose {COV_KERNEL_KINDS}"
-            )
-        chi = self.bandwidth
-        if chi is not None and not (math.isfinite(chi) and chi >= 1.0):
-            raise ValueError(f"HAC bandwidth {chi} must be finite and >= 1")
-        if not 0.0 < self.pilot_bandwidth <= 0.5:
-            raise ValueError(
-                f"pilot bandwidth {self.pilot_bandwidth} outside (0, 1/2]"
-            )
-
-    def resolve_bandwidth(self, T: int) -> float:
-        return self.bandwidth if self.bandwidth is not None else default_hac_bandwidth(T)
+from .estimate import batched_beta, batched_designs, solve_mask
+from .kernels import HacConfig, SmoothingKernel, _pilot_points, cov_kernel_weight
+from .panel import Panel
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +63,6 @@ def _pilot_residuals(
     panel: Panel, kernel: SmoothingKernel, h_pilot: float
 ) -> np.ndarray:
     """residual_series for every unit at once, shape (N, T, D)."""
-    _bind_deferred()
     if not 0.0 < h_pilot <= 0.5:
         raise ValueError(f"pilot bandwidth {h_pilot} outside (0, 1/2]")
     us, hs, inverse = _pilot_points(panel.n_time, h_pilot)
@@ -144,21 +75,6 @@ def _pilot_residuals(
     fitted = np.einsum("td,tnd->nt", panel.x, beta)
     eps = panel.y - fitted
     return panel.x[None, :, :] * eps[:, :, None]
-
-
-@functools.lru_cache(maxsize=4)
-def _pilot_points(T: int, h_pilot: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pilot fit's distinct points (us, hs) and the index of each period's
-    point, read-only: u_t = t/T for the period t clamped to [s, T - s], and
-    h = s/T for s = h_pilot * T rounded to an integer, at least 1 and at most
-    T // 2 so that the clamp is never inverted."""
-    s = max(1, min(round(h_pilot * T), T // 2))
-    ts, inverse = np.unique(np.clip(np.arange(1, T + 1), s, T - s), return_inverse=True)
-    us = ts / T
-    hs = np.full(us.shape, s / T)
-    for arr in (us, hs, inverse):
-        arr.setflags(write=False)
-    return us, hs, inverse
 
 
 def residual_series(

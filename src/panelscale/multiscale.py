@@ -22,8 +22,8 @@ from .critvals import CriticalValue
 from .errors import PanelFormatError
 from .estimate import batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
-from .kernels import SmoothingKernel, _row_blocks
-from .lrv import HacConfig, _pair_roots, _unit_sigmas
+from .kernels import HacConfig, SmoothingKernel, _row_blocks
+from .lrv import _pair_roots, _unit_sigmas
 # perfbench's tracer looks both up here
 from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
 from .panel import Panel

@@ -22,16 +22,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _deferred
-from .kernels import SmoothingKernel, _row_blocks, _shared_weights
-from .lrv import HacConfig, _pilot_points
+from .kernels import HacConfig, SmoothingKernel, _pilot_points, _row_blocks, _shared_weights
 
 # the names a run, an experiment or a panel generator needs, bound here by
 # _bind_deferred when one of them first runs: defining a DGP or reading a
-# config loads only kernels and lrv, and generating a panel adds panel
+# config loads only kernels, and generating a panel adds panel
 __getattr__, _bind_deferred = _deferred(globals(), (
     "Panel", "ordered_map", "dissimilarity_matrix", "hac_cluster", "select_k",
-    "CriticalValue", "gaussian_critical_value", "Grid", "build_grid_application",
-    "build_normalizers", "compute_stat_table", "run_test", "unit_pairs",
+    "gaussian_critical_value", "build_grid_application", "build_normalizers",
+    "compute_stat_table", "run_test", "unit_pairs",
 ))
 
 
@@ -390,13 +389,14 @@ def _replication_seeds(base_seed: int, R: int) -> list[int]:
 
 def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
            hac: HacConfig, B: int, alpha: float, crit_seed: int,
-           n_workers: int) -> tuple[float, Grid, CriticalValue, tuple]:
-    """Start the clock, validate R and crit_seed, default the grid and get the
-    one Gaussian critical value that every replication shares. The grid and
-    pilot kernel weights are taken first and returned: the caller holds them
-    until it returns, so the draws and the replications share one build."""
+           n_workers: int, *runs: str) -> tuple[float, Grid, CriticalValue, tuple]:
+    """Start the clock, bind the harness's names and runs (the outcome's),
+    validate R and crit_seed, default the grid and get the one Gaussian
+    critical value that every replication shares. The grid and pilot kernel
+    weights are taken first and returned: the caller holds them until it
+    returns, so the draws and the replications share one build."""
     start = time.perf_counter()
-    _bind_deferred()
+    _bind_deferred("ordered_map", "gaussian_critical_value", "build_grid_application", *runs)
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
     if not 0 <= crit_seed < 2**63:  # the draw cache key's signed 64-bit field
@@ -453,7 +453,7 @@ def run_size_experiment(
     if len(set(spec.curves)) != 1:
         raise ValueError("size experiment requires all units to share one curve")
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers)
+                                     crit_seed, n_workers, "run_test")
 
     def outcome(panel: Panel) -> bool:
         return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
@@ -488,7 +488,7 @@ def run_power_experiment(
     multiplied by each scale. Also tracks how often the rejection list names a
     truly heterogeneous pair."""
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers)
+                                     crit_seed, n_workers, "run_test", "unit_pairs")
     pairs = unit_pairs(spec.n_units)
     power_curve = []
     for scale in scales:
@@ -534,7 +534,7 @@ def run_fwer_experiment(
     """Fraction of replications with at least one rejection of a TRUE local
     null, membership decided analytically from the curves."""
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers)
+                                     crit_seed, n_workers, "run_test", "unit_pairs")
     pairs = unit_pairs(spec.n_units)
     m0 = GroundTruth(curves=spec.curves).m0_mask(grid, pairs)
     true_nulls = {(*pairs[p], grid.points[g]) for p, g in zip(*np.nonzero(m0))}
@@ -565,8 +565,9 @@ def run_cluster_experiment(
     """Rate of exact group recovery (K_hat == K0 and partitions identical)."""
     if spec.group_assignment is None:
         raise ValueError("cluster experiment requires group_assignment ground truth")
-    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers)
+    start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha, crit_seed,
+                                     n_workers, "build_normalizers", "compute_stat_table",
+                                     "dissimilarity_matrix", "hac_cluster", "select_k")
     target = _partition(spec.group_assignment)
 
     def outcome(panel: Panel) -> bool:
@@ -725,14 +726,17 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
     for key, (parse, _) in _CONFIG_KEYS.items():
         if parse is float and cfg[key] is not None and not math.isfinite(cfg[key]):
             raise ValueError(f"{key} = {cfg[key]} must be finite")
-    scales = [float(s) for s in cfg["scales"].split(",")]
+    try:
+        scales = [float(s) for s in cfg["scales"].split(",")]
+    except ValueError:
+        raise ValueError(f"scales = {cfg['scales']} must list numbers") from None
     if not all(map(math.isfinite, scales)):
         raise ValueError(f"scales = {cfg['scales']} must all be finite")
     if cfg["pooled_lrv"] not in (0, 1):
         raise ValueError(f"pooled_lrv = {cfg['pooled_lrv']} must be 0 or 1")
     if not cfg["noise_sd"] > 0.0:  # no long-run covariance to normalise by
         raise ValueError(f"noise_sd = {cfg['noise_sd']} must be positive")
-    _bind_deferred()
+    _bind_deferred("build_grid_application")
     N, T, D, seed = cfg["N"], cfg["T"], cfg["D"], cfg["seed"]
     noise = dict(ar_coef=cfg["ar_coef"], noise_sd=cfg["noise_sd"])
     hac = HacConfig(

@@ -220,6 +220,24 @@ def test_cmd_test_bad_level_exits_2_before_any_draw(tmp_path, monkeypatch, level
     assert not cache.exists()
 
 
+def test_crit_cache_in_missing_directory_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys
+):
+    from panelscale import critvals
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("simulate_phi called")
+
+    monkeypatch.setattr(critvals, "simulate_phi", no_draws)
+    cache = tmp_path / "missing" / "crit.bin"
+    out = tmp_path / "out"
+    argv = ["test", "--input", str(FIXTURE), "--out", str(out), "--crit-cache", str(cache)]
+    assert main(argv + FAST) == 2
+    assert f"draw cache {cache}: no such directory" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -227,8 +245,17 @@ def test_cmd_test_bad_level_exits_2_before_any_draw(tmp_path, monkeypatch, level
         (["cluster", "--hac-bandwidth", "0.5"], "HAC bandwidth 0.5 must be finite and >= 1"),
         (["test", "--seed", str(2**63)], f"seed={2**63} outside [0, 2**63)"),
         (["cluster", "--B", str(2**63)], f"B={2**63} outside [0, 2**63)"),
+        (
+            ["test", "--grid", "custom", "--u-step", "10", "--h", "0.2,abc"],
+            "--h '0.2,abc' must list numbers",
+        ),
+        (
+            ["cluster", "--grid", "custom", "--u-step", "10", "--h", ","],
+            "--h ',' must list numbers",
+        ),
     ],
-    ids=["pilot-h-above-half", "hac-bandwidth-below-1", "seed-above-int64", "B-above-int64"],
+    ids=["pilot-h-above-half", "hac-bandwidth-below-1", "seed-above-int64", "B-above-int64",
+         "h-not-a-number", "h-empty"],
 )
 def test_bad_hac_or_draw_flags_exit_2_before_any_draw_or_cache_read(
     tmp_path, monkeypatch, capsys, argv, message
@@ -449,6 +476,10 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
             "scales = 1.0,inf must all be finite",
         ),
         (
+            "experiment = power\nN = 3\nR = 3\nscales = 0.5,abc\n" + SIM_TINY,
+            "scales = 0.5,abc must list numbers",
+        ),
+        (
             "experiment = power\nN = 3\nR = 3\nbump_width = nan\n" + SIM_TINY,
             "bump_width = nan must be finite",
         ),
@@ -470,8 +501,8 @@ def test_cmd_simulate_rejects_bad_keys(tmp_path, config):
         ),
     ],
     ids=["noise-sd-0", "seed-negative", "crit-seed-above-int64", "scales-nan",
-         "scales-inf", "bump-width-nan", "bump-center-nan", "height-c-nan",
-         "cluster-height-c-inf", "pooled-lrv-7"],
+         "scales-inf", "scales-not-a-number", "bump-width-nan", "bump-center-nan",
+         "height-c-nan", "cluster-height-c-inf", "pooled-lrv-7"],
 )
 def test_cmd_simulate_refuses_before_any_draw(tmp_path, monkeypatch, capsys, config, message):
     from panelscale import simulate
@@ -516,7 +547,7 @@ def test_hac_defaults_come_from_hac_config(monkeypatch):
     from dataclasses import dataclass
 
     import panelscale
-    from panelscale import cli, lrv
+    from panelscale import cli, kernels
 
     @dataclass(frozen=True)
     class OtherDefaults(HacConfig):
@@ -531,7 +562,7 @@ def test_hac_defaults_come_from_hac_config(monkeypatch):
     # simulate's config keys take HacConfig's defaults when it is imported,
     # so a fresh simulate is imported with the other defaults in place
     seen = {}
-    monkeypatch.setattr(lrv, "HacConfig", OtherDefaults)
+    monkeypatch.setattr(kernels, "HacConfig", OtherDefaults)
     monkeypatch.delitem(sys.modules, "panelscale.simulate")
     monkeypatch.setattr(panelscale, "simulate", panelscale.simulate)
     simulate = importlib.import_module("panelscale.simulate")

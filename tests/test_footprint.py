@@ -1,10 +1,10 @@
 """What a run loads: importing the CLI and a warm-cache cluster run need no
 OpenSSL (hashlib) and no thread pool (concurrent.futures, which also loads
-logging), importing the package loads no submodule, and neither the CLI nor
-a DGP loads more of the pipeline than it runs. Each probe runs in a fresh
-interpreter and compares sys.modules against the same interpreter's state
-before it imports panelscale, so modules that site .pth files load on some
-hosts do not count."""
+logging), importing the package loads no submodule, and neither the CLI, a
+DGP nor an experiment loads more of the pipeline than it runs. Each probe
+runs in a fresh interpreter and compares sys.modules against the same
+interpreter's state before it imports panelscale, so modules that site .pth
+files load on some hosts do not count."""
 
 import json
 import os
@@ -12,6 +12,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import panelscale
 from panelscale._parallel import ordered_map
@@ -44,6 +46,10 @@ def _modules_added(body: str) -> set[str]:
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
+def _package_modules(added: set[str]) -> set[str]:
+    return {n for n in added if n == "panelscale" or n.startswith("panelscale.")}
+
+
 def test_package_import_loads_no_submodule():
     assert _modules_added("import panelscale") == {"panelscale"}
 
@@ -67,15 +73,42 @@ def test_dgp_and_config_reader_load_no_test_pipeline():
     assert not added & pipeline, sorted(added & pipeline)
 
 
+def test_config_reader_loads_only_kernels_and_simulate(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("experiment = size\nN = 3\nscales = 0.5,1\n")
+    added = _modules_added(
+        "from panelscale.simulate import load_experiment_config\n"
+        f"load_experiment_config({str(cfg)!r})"
+    )
+    assert _package_modules(added) == {
+        "panelscale", "panelscale.kernels", "panelscale.simulate"
+    }
+
+
 def test_generate_panel_loads_only_the_panel_module():
     added = _modules_added(
         "from panelscale.simulate import generate_panel, homogeneous_spec\n"
         "generate_panel(homogeneous_spec(5, 300, 2, 1))"
     )
-    package = {n for n in added if n == "panelscale" or n.startswith("panelscale.")}
-    assert package == {"panelscale"} | {
-        f"panelscale.{m}" for m in ("errors", "kernels", "lrv", "panel", "simulate")
+    assert _package_modules(added) == {"panelscale"} | {
+        f"panelscale.{m}" for m in ("errors", "kernels", "panel", "simulate")
     }
+
+
+@pytest.mark.parametrize(
+    "experiment, clusters",
+    [("size", False), ("power", False), ("fwer", False), ("cluster", True)],
+)
+def test_experiment_loads_cluster_only_when_it_clusters(experiment, clusters):
+    cfg = {"experiment": experiment, "T": 100, "D": 1, "R": 1, "B": 120}
+    if experiment in ("size", "power"):
+        cfg["N"] = 3
+    added = _modules_added(
+        "from panelscale.simulate import run_from_config\n"
+        f"run_from_config({cfg!r})"
+    )
+    assert "panelscale.multiscale" in added
+    assert ("panelscale.cluster" in added) == clusters
 
 
 def test_every_public_name_resolves():

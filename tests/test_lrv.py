@@ -23,10 +23,10 @@ from panelscale import (
     residual_series,
 )
 from panelscale import lrv
+from panelscale.kernels import default_hac_bandwidth
 from panelscale.lrv import (
     _checked_min_eigs,
     cov_kernel_weight,
-    default_hac_bandwidth,
     long_run_covariances,
 )
 from panelscale import multiscale
