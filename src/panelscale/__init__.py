@@ -60,6 +60,7 @@ __all__ = [*_NAMES, *_SOURCES]
 _PRIVATE = {
     "ordered_map": "_parallel",
     "RESULT_SCHEMA_VERSION": "schemas",
+    **dict.fromkeys(("batched_beta", "batched_designs", "solve_mask"), "estimate"),
     **dict.fromkeys(("load_experiment_config", "run_from_config"), "simulate"),
 }
 

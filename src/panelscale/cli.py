@@ -6,6 +6,10 @@ Exit codes: 0 success (regardless of the test outcome), 2 input problems,
 --out can be overridden, in every subcommand that has the flag, by an
 environment variable named after it: PANELSCALE_ALPHA=0.01, PANELSCALE_OUT,
 PANELSCALE_HAC_KERNEL and so on. Other flags read no environment variable.
+
+Importing this module loads only errors and kernels, which the parser and
+main need; main binds the names the parsed command runs (_RUNS) before it
+calls the command, so each command loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,30 +24,27 @@ from pathlib import Path
 import numpy as np
 
 from . import _deferred
-from .cluster import (
-    dissimilarity_matrix,
-    group_difference_intervals,
-    hac_cluster,
-    select_k,
-)
-from .critvals import CriticalValue, gaussian_critical_value
 from .errors import (
     DegenerateCovarianceError,
     PanelFormatError,
     PanelScaleError,
     SingularDesignError,
 )
-from .estimate import batched_beta, batched_designs, solve_mask
-from .grid import Grid, build_grid_application, build_grid_custom
 from .kernels import COV_KERNEL_KINDS, KERNEL_KINDS, HacConfig, SmoothingKernel
-from .multiscale import TestResult, build_normalizers, compute_stat_table, run_test
-from .panel import Panel, demean_units, deseasonalize, panel_from_csv, panel_to_csv
 
-# names bound by _bind_deferred in the command that uses them, so that test
-# and cluster load no Monte Carlo harness
-__getattr__, _bind_deferred = _deferred(
-    globals(), ("RESULT_SCHEMA_VERSION", "load_experiment_config", "run_from_config")
-)
+# the names each command runs, bound here by main before it calls the command
+_PREPARE = ("panel_from_csv", "demean_units", "build_grid_application",
+            "build_grid_custom", "gaussian_critical_value")
+_RUNS = {
+    "test": (*_PREPARE, "run_test", "RESULT_SCHEMA_VERSION", "batched_designs",
+             "batched_beta", "solve_mask"),
+    "cluster": (*_PREPARE, "build_normalizers", "compute_stat_table",
+                "dissimilarity_matrix", "hac_cluster", "select_k",
+                "group_difference_intervals"),
+    "simulate": ("load_experiment_config", "run_from_config"),
+    "preprocess": ("Panel", "panel_from_csv", "deseasonalize", "demean_units", "panel_to_csv"),
+}
+__getattr__, _bind_deferred = _deferred(globals(), {n for run in _RUNS.values() for n in run})
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -153,6 +154,9 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
 
 def _build_grid(args, T: int) -> Grid:
     if args.grid == "app":
+        for flag, value in (("--u-step", args.u_step), ("--h", args.h)):
+            if value is not None:
+                raise PanelFormatError(f"{flag} applies only with --grid custom")
         return build_grid_application(T)
     if args.u_step is None or args.h is None:
         raise PanelFormatError("--grid custom requires --u-step and --h")
@@ -200,8 +204,6 @@ def _prepare(
 
 
 def _result_payload(result: TestResult, panel: Panel, grid: Grid, args) -> dict:
-    _bind_deferred("RESULT_SCHEMA_VERSION")
-
     def entry(r):
         return {
             "i": r.i,
@@ -347,7 +349,6 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _bind_deferred("load_experiment_config", "run_from_config")
     cfg = load_experiment_config(args.config)
     report = run_from_config(cfg, n_workers=args.threads)
     out = Path(args.out)
@@ -448,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _bind_deferred(*_RUNS[args.command])
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:

@@ -183,12 +183,17 @@ def gaussian_critical_value(
     cache_path=None,
 ) -> CriticalValue:
     """simulate_phi + critical_value, with optional draw caching. alpha, B
-    and the cache's directory are checked before any draw is made or read."""
+    and the cache's path and directory are checked before any draw is made or
+    read."""
     _check_quantile(alpha, B)
     check_grid_T(grid, T)
     draws = None
     key = draws_cache_key(T, N, D, grid, kernel, B, seed)
     if cache_path is not None:
+        if not os.fspath(cache_path) or os.path.isdir(cache_path):
+            raise ValueError(
+                f"draw cache {os.fspath(cache_path)!r}: empty or a directory, not a file"
+            )
         if not os.path.isdir(os.path.dirname(os.path.abspath(cache_path))):
             raise FileNotFoundError(f"draw cache {cache_path}: no such directory")
         draws = load_draws(cache_path, key)

@@ -683,10 +683,11 @@ def _config_defaults() -> dict:
 
 def load_experiment_config(path) -> dict:
     """Parse a `key = value` text file (# starts a comment); a key may be
-    given once."""
+    given once. A leading UTF-8 byte-order mark, which some editors write, is
+    skipped."""
     cfg: dict = {}
     lines: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

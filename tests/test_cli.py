@@ -220,22 +220,38 @@ def test_cmd_test_bad_level_exits_2_before_any_draw(tmp_path, monkeypatch, level
     assert not cache.exists()
 
 
-def test_crit_cache_in_missing_directory_refused_before_any_draw(
-    tmp_path, monkeypatch, capsys
-):
+def _refused_crit_cache(tmp_path, monkeypatch, capsys, cache: str) -> str:
+    """Run test with --crit-cache cache while simulate_phi fails; assert exit
+    2 and no output directory, and return stderr."""
     from panelscale import critvals
 
     def no_draws(*args, **kwargs):
         raise AssertionError("simulate_phi called")
 
     monkeypatch.setattr(critvals, "simulate_phi", no_draws)
-    cache = tmp_path / "missing" / "crit.bin"
     out = tmp_path / "out"
-    argv = ["test", "--input", str(FIXTURE), "--out", str(out), "--crit-cache", str(cache)]
+    argv = ["test", "--input", str(FIXTURE), "--out", str(out), "--crit-cache", cache]
     assert main(argv + FAST) == 2
-    assert f"draw cache {cache}: no such directory" in capsys.readouterr().err
-    assert not (tmp_path / "missing").exists()
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_crit_cache_in_missing_directory_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys
+):
+    cache = tmp_path / "missing" / "crit.bin"
+    err = _refused_crit_cache(tmp_path, monkeypatch, capsys, str(cache))
+    assert f"draw cache {cache}: no such directory" in err
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("directory", [False, True], ids=["empty", "directory"])
+def test_crit_cache_naming_no_file_refused_before_any_draw(
+    tmp_path, monkeypatch, capsys, directory
+):
+    cache = str(tmp_path) if directory else ""
+    err = _refused_crit_cache(tmp_path, monkeypatch, capsys, cache)
+    assert f"draw cache {cache!r}: empty or a directory, not a file" in err
 
 
 @pytest.mark.parametrize(
@@ -253,9 +269,11 @@ def test_crit_cache_in_missing_directory_refused_before_any_draw(
             ["cluster", "--grid", "custom", "--u-step", "10", "--h", ","],
             "--h ',' must list numbers",
         ),
+        (["test", "--h", "0.2,abc"], "--h applies only with --grid custom"),
+        (["cluster", "--u-step", "3"], "--u-step applies only with --grid custom"),
     ],
     ids=["pilot-h-above-half", "hac-bandwidth-below-1", "seed-above-int64", "B-above-int64",
-         "h-not-a-number", "h-empty"],
+         "h-not-a-number", "h-empty", "h-without-custom-grid", "u-step-without-custom-grid"],
 )
 def test_bad_hac_or_draw_flags_exit_2_before_any_draw_or_cache_read(
     tmp_path, monkeypatch, capsys, argv, message

@@ -1,7 +1,7 @@
 """What a run loads: importing the CLI and a warm-cache cluster run need no
 OpenSSL (hashlib) and no thread pool (concurrent.futures, which also loads
-logging), importing the package loads no submodule, and neither the CLI, a
-DGP nor an experiment loads more of the pipeline than it runs. Each probe
+logging), importing the package loads no submodule, and no CLI command, DGP
+or experiment loads more of the pipeline than it runs. Each probe
 runs in a fresh interpreter and compares sys.modules against the same
 interpreter's state before it imports panelscale, so modules that site .pth
 files load on some hosts do not count."""
@@ -20,6 +20,7 @@ from panelscale._parallel import ordered_map
 
 FIXTURE = Path(__file__).parent / "data" / "planted_panel.csv"
 UNWANTED = {"hashlib", "_hashlib", "concurrent.futures"}
+CLI_MODULES = {"panelscale"} | {f"panelscale.{m}" for m in ("cli", "errors", "kernels")}
 
 PROBE = """\
 import json, sys
@@ -56,10 +57,35 @@ def test_package_import_loads_no_submodule():
 
 def test_cli_import_loads_no_hashlib_or_thread_pool():
     added = _modules_added("import panelscale.cli")
-    assert "panelscale.cli" in added
     assert not added & UNWANTED, sorted(added & UNWANTED)
-    # the Monte Carlo harness and the result schema load in their commands
-    assert not added & {"panelscale.simulate", "panelscale.schemas"}
+    # the pipeline, the Monte Carlo harness and the result schema load in
+    # the commands that run them
+    assert _package_modules(added) == CLI_MODULES
+
+
+def _command_modules(argv: list[str]) -> set[str]:
+    return _package_modules(_modules_added(
+        f"from panelscale.cli import main\nassert main({argv!r}) == 0"
+    ))
+
+
+@pytest.mark.parametrize("command", ["simulate", "test"])
+def test_simulate_and_test_commands_load_no_cluster(tmp_path, command):
+    if command == "simulate":
+        cfg = tmp_path / "size.cfg"
+        cfg.write_text("experiment = size\nN = 3\nT = 100\nD = 1\nR = 1\nB = 120\n")
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["test", "--input", str(FIXTURE), "--B", "200", "--seed", "3"]
+    added = _command_modules(argv + ["--out", str(tmp_path / "out")])
+    assert "panelscale.multiscale" in added
+    assert "panelscale.cluster" not in added
+
+
+def test_preprocess_command_loads_only_the_panel_module(tmp_path):
+    argv = ["preprocess", "--input", str(FIXTURE), "--demean",
+            "--out-file", str(tmp_path / "demeaned.csv")]
+    assert _command_modules(argv) == CLI_MODULES | {"panelscale.panel"}
 
 
 def test_dgp_and_config_reader_load_no_test_pipeline():

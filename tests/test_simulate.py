@@ -387,6 +387,15 @@ seed = 4
     assert cfg["T"] == 100 and cfg["B"] == 120
 
 
+def test_config_parser_skips_a_byte_order_mark(tmp_path):
+    text = "experiment = size\nN = 3\nscales = 0.5,1\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_experiment_config(marked) == load_experiment_config(plain)
+
+
 def test_config_parser_rejects_unknown_keys(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("experiment = size\nbogus = 1\n")
