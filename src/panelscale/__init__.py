@@ -59,6 +59,8 @@ __all__ = [*_NAMES, *_SOURCES]
 # the private names that modules bind on first use, and their submodules
 _PRIVATE = {
     "ordered_map": "_parallel",
+    "_dissimilarity": "cluster",
+    "_stack_pair_max": "multiscale",
     "RESULT_SCHEMA_VERSION": "schemas",
     **dict.fromkeys(("batched_beta", "batched_designs", "solve_mask"), "estimate"),
     **dict.fromkeys(("load_experiment_config", "run_from_config"), "simulate"),

@@ -76,9 +76,14 @@ def dissimilarity_matrix(table: LocalStatTable) -> Dissimilarity:
     n = max(map(max, table.pairs)) + 1
     if sorted(tuple(sorted(p)) for p in table.pairs) != list(unit_pairs(n)):
         raise ValueError(f"table must cover every unit pair of 0..{n - 1} exactly once")
+    return _dissimilarity(n, *np.asarray(table.pairs).T, table.pair_max)
+
+
+def _dissimilarity(n: int, i, j, pair_max: np.ndarray) -> Dissimilarity:
+    """The n-unit dissimilarity whose entries (i[p], j[p]) and (j[p], i[p])
+    are pair_max[p]."""
     d = np.zeros((n, n))
-    i, j = np.asarray(table.pairs).T
-    d[i, j] = d[j, i] = table.pair_max
+    d[i, j] = d[j, i] = pair_max
     return Dissimilarity(d=d)
 
 

@@ -5,7 +5,9 @@ carries the 1/sqrt(Th) scaling throughout: it cancels in the coefficient
 estimate but matters in the multiscale statistic.
 
 batched_designs, the guard solve_mask and the solve batched_beta are the one
-path; local_design, beta_hat and coefficient_curve wrap them.
+path; local_design, beta_hat and coefficient_curve wrap them. The designs of
+a stack of panels (_stacked_moments, _stacked_sums) are the same
+contractions with a leading stack axis, and one panel's are a stack of one.
 """
 
 from __future__ import annotations
@@ -100,21 +102,39 @@ def coefficient_curve(
 def batched_designs(
     panel: Panel, kernel: SmoothingKernel, us: np.ndarray, hs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized designs over many points: M (G, D, D) and sums a (G, N, D).
+    """Vectorized designs over many points: M (G, D, D) and sums a (G, N, D),
+    the panel's designs as a stack of one."""
+    W = _shared_weights(kernel, panel.n_time, us, hs)
+    x, y = panel.x[None], panel.y[None]
+    return _stacked_moments(W, hs, x)[0], _stacked_sums(W, hs, x, y)[0]
 
-    Both are window_sums contractions, whose arithmetic does not depend on
-    BLAS threading. The response sums take one product per unit, so units
-    with equal responses get equal sums and cancel exactly in a pair.
+
+def _window_scale(T: int, hs: np.ndarray) -> np.ndarray:
+    return (1.0 / np.sqrt(T * np.asarray(hs, dtype=float)))[:, None, None]
+
+
+def _stacked_moments(W: np.ndarray, hs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Designs M (R, G, D, D) of a stack of R covariate matrices x (R, T, D)
+    at the points whose kernel weights are W (G, T) and bandwidths hs.
+
+    Both this and _stacked_sums are window_sums contractions, one product per
+    matrix of the stack, whose arithmetic depends neither on BLAS threading
+    nor on the stack: each panel's designs have the bits it gets alone.
     """
-    x, y = panel.x, panel.y
-    T, D = x.shape
-    W = _shared_weights(kernel, T, us, hs)
-    scale = (1.0 / np.sqrt(T * np.asarray(hs, dtype=float)))[:, None, None]
-    M = window_sums(W, (x[:, :, None] * x[:, None, :]).reshape(T, D * D))
-    M = M.reshape(-1, D, D) * scale
-    M = 0.5 * (M + np.swapaxes(M, 1, 2))
-    a = window_sums(W, y[:, :, None] * x[None, :, :]).transpose(1, 0, 2) * scale
-    return M, a
+    R, T, D = x.shape
+    M = window_sums(W, (x[..., :, None] * x[..., None, :]).reshape(R, T, D * D))
+    M = M.reshape(R, -1, D, D) * _window_scale(T, hs)
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
+
+
+def _stacked_sums(
+    W: np.ndarray, hs: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Response sums a (R, G, N, D) of a stack of R panels, x (R, T, D) and
+    y (R, N, T). They take one product per unit, so units with equal
+    responses get equal sums and cancel exactly in a pair."""
+    a = window_sums(W, y[..., None] * x[:, None, :, :])
+    return a.transpose(0, 2, 1, 3) * _window_scale(x.shape[1], hs)
 
 
 def solve_mask(M: np.ndarray) -> np.ndarray:

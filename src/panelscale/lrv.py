@@ -12,6 +12,8 @@ design depends only on X, so one pilot fit (one design build, one guard
 and one solve) serves all units, and one batched HAC estimates every unit's
 Sigma as one (N, D, D) stack. One batched pass over that stack gives every
 pair's normalizer, the symmetric inverse square root of (Sigma_i + Sigma_j)/2.
+The pilot fit and the HAC also take a stack of panels, one call a stage for
+all of them, and give each panel the bits it gets alone.
 
 HacConfig, the covariance kernels kappa and the pilot points are kernels'.
 """
@@ -24,8 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovarianceError, SingularDesignError
-from .estimate import batched_beta, batched_designs, solve_mask
-from .kernels import HacConfig, SmoothingKernel, _pilot_points, cov_kernel_weight
+from .estimate import _stacked_moments, _stacked_sums, batched_beta, solve_mask
+# perfbench's tracer looks it up here
+from .estimate import batched_designs  # noqa: F401
+from .kernels import (
+    HacConfig, SmoothingKernel, _pilot_points, _row_blocks, _shared_weights,
+    cov_kernel_weight,
+)
 from .panel import Panel
 
 
@@ -60,21 +67,25 @@ def _checked_min_eigs(sigmas: np.ndarray) -> np.ndarray:
 
 
 def _pilot_residuals(
-    panel: Panel, kernel: SmoothingKernel, h_pilot: float
+    x: np.ndarray, y: np.ndarray, kernel: SmoothingKernel, h_pilot: float
 ) -> np.ndarray:
-    """residual_series for every unit at once, shape (N, T, D)."""
+    """residual_series for every unit of a stack of R panels, x (R, T, D)
+    and y (R, N, T), at once, shape (R, N, T, D); a panel's residuals have the
+    bits it gets alone."""
     if not 0.0 < h_pilot <= 0.5:
         raise ValueError(f"pilot bandwidth {h_pilot} outside (0, 1/2]")
-    us, hs, inverse = _pilot_points(panel.n_time, h_pilot)
-    M, a = batched_designs(panel, kernel, us, hs)
+    (R, N, T), D = y.shape, x.shape[-1]
+    us, hs, inverse = _pilot_points(T, h_pilot)
+    W = _shared_weights(kernel, T, us, hs)
+    M = _stacked_moments(W, hs, x).reshape(-1, D, D)
     ok = solve_mask(M)
     if not np.all(ok):
-        k = int(np.argmin(ok))
+        k = int(np.argmin(ok)) % len(us)
         raise SingularDesignError(f"pilot design singular at (u={us[k]}, h={hs[k]})")
-    beta = batched_beta(M, a, ok)[inverse]  # (T, N, D)
-    fitted = np.einsum("td,tnd->nt", panel.x, beta)
-    eps = panel.y - fitted
-    return panel.x[None, :, :] * eps[:, :, None]
+    a = _stacked_sums(W, hs, x, y).reshape(-1, N, D)
+    beta = batched_beta(M, a, ok).reshape(R, -1, N, D)[:, inverse]  # (R, T, N, D)
+    eps = y - np.einsum("rtd,rtnd->rnt", x, beta)
+    return x[:, None, :, :] * eps[..., None]
 
 
 def residual_series(
@@ -85,7 +96,7 @@ def residual_series(
 
     h_pilot is snapped to the nearest 1/T lattice multiple.
     """
-    return _pilot_residuals(panel, kernel, h_pilot)[unit]
+    return _pilot_residuals(panel.x[None], panel.y[None], kernel, h_pilot)[0, unit]
 
 
 def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
@@ -104,21 +115,27 @@ def hac_estimate(v: np.ndarray, config: HacConfig, unit: int = 0) -> LongRunCov:
 
 
 def _hac_sigmas(v: np.ndarray, config: HacConfig) -> np.ndarray:
-    """HAC estimates for a stack of moment series v (N, T, D), shape
-    (N, D, D). Omega v is a circular convolution of the zero-padded series
+    """HAC estimates for a stack of moment series v (K, T, D), shape
+    (K, D, D). Omega v is a circular convolution of the zero-padded series
     over 2T periods, whose wrap-around reaches no t < T, so v' Omega v is the
     spectrum g of Omega's first column weighting the series' spectrum F:
-    sum_k g_k Re(F_k^H F_k) / 2T (Parseval). Each unit's transform and
+    sum_k g_k Re(F_k^H F_k) / 2T (Parseval). Each series' transform and
     product are the calls a lone (T, D) series gets, so its estimate has the
-    same bits."""
+    same bits. The series go in row blocks whose two complex spectra (F, then
+    its conjugate in place, and g F) stay within _BLOCK_BYTES."""
     T, D = v.shape[1:]
     if T <= D:
         raise ValueError(f"need T > D, got T={T}, D={D}")
     if not np.all(np.isfinite(v)):
         raise ValueError("v contains non-finite entries")
     g = _hac_spectrum(config.cov_kernel, config.resolve_bandwidth(T), T)
-    f = np.fft.rfft(v, 2 * T, axis=1)
-    sigma = (np.swapaxes(f.conj(), 1, 2) @ (g[:, None] * f)).real / (2 * T * (T - D))
+    sigma = np.empty((len(v), D, D))
+    for blk in _row_blocks(len(v), 4 * (T + 1) * D):
+        f = np.fft.rfft(v[blk], 2 * T, axis=1)
+        gf = g[:, None] * f
+        sigma[blk] = (np.swapaxes(np.conjugate(f, out=f), 1, 2) @ gf).real
+        del f, gf  # before the next block is transformed
+    sigma /= 2 * T * (T - D)
     asym = np.abs(sigma - np.swapaxes(sigma, 1, 2)).max(axis=(1, 2))
     limit = 1e-12 * np.maximum(1.0, np.abs(sigma).max(axis=(1, 2)))
     bad = asym > limit
@@ -140,28 +157,33 @@ def _hac_spectrum(kind: str, chi: float, T: int) -> np.ndarray:
 
 
 def _unit_sigmas(
-    panel: Panel, kernel: SmoothingKernel, config: HacConfig
+    x: np.ndarray, y: np.ndarray, kernel: SmoothingKernel, config: HacConfig
 ) -> np.ndarray:
-    """long_run_covariances as one (N, D, D) stack."""
-    v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
-    sigmas = _hac_sigmas(v, config)
+    """long_run_covariances of every panel of a stack, x (R, T, D) and
+    y (R, N, T), as one (R, N, D, D) stack."""
+    v = _pilot_residuals(x, y, kernel, config.pilot_bandwidth)
+    R, N, T, D = v.shape
+    sigmas = _hac_sigmas(v.reshape(-1, T, D), config)
     if not config.pooled:
-        return sigmas
+        return sigmas.reshape(R, N, D, D)
     _checked_min_eigs(sigmas)  # the units' own estimates must pass too
-    return np.broadcast_to(sigmas.mean(axis=0), sigmas.shape)
+    sigmas = sigmas.reshape(R, N, D, D)
+    return np.broadcast_to(sigmas.mean(axis=1, keepdims=True), sigmas.shape)
 
 
 def long_run_covariances(
     panel: Panel, kernel: SmoothingKernel, config: HacConfig
 ) -> list[LongRunCov]:
     """Per-unit HAC estimates; with config.pooled the units share the average."""
-    sigmas = _unit_sigmas(panel, kernel, config)
+    sigmas = _unit_sigmas(panel.x[None], panel.y[None], kernel, config)[0]
     return [LongRunCov(unit=i, sigma=sigma) for i, sigma in enumerate(sigmas)]
 
 
 def _pair_roots(sigmas: np.ndarray, units, i_idx, j_idx) -> np.ndarray:
     """Symmetric inverse square roots of (Sigma_i + Sigma_j)/2 for the unit
-    pairs (i_idx[p], j_idx[p]) of a (N, D, D) stack, shape (P, D, D).
+    pairs (i_idx[p], j_idx[p]) of a (K, D, D) stack, shape (P, D, D). The
+    stack may hold the units of several panels, with the pairs' indices
+    offset to their panel and units[k] the label of unit k within its own.
 
     Each Sigma must pass _checked_min_eigs and be positive definite relative
     to its own scale; the average gets a tiny ridge before inversion. The

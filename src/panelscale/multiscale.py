@@ -9,6 +9,13 @@ Algebraically this equals the kernel-sum form
 || Nrm_ij @ (1/sqrt(Th)) sum_t X_t (Y_it - Y_jt) K_t ||_inf, which needs no
 matrix inversion; one einsum a block of pairs computes it. Gridpoints whose
 design fails the condition guard are only recorded (fallback_points).
+
+A Monte Carlo replication needs only each pair's maximum: _stack_pair_max
+takes a stack of panels through the same stages, one call a stage for all of
+them, and returns only those maxima (and whether a masked cell exceeds q).
+Each panel's maxima have the bits run_test and compute_stat_table give it
+alone, and the Monte Carlo harness checks that on the first panel of every
+run, raising ArithmeticError if they differ.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ import numpy as np
 
 from .critvals import CriticalValue
 from .errors import PanelFormatError
-from .estimate import batched_beta, batched_designs, solve_mask
+from .estimate import _stacked_sums, batched_beta, batched_designs, solve_mask
 from .grid import Grid, check_grid_T
-from .kernels import HacConfig, SmoothingKernel, _row_blocks
+from .kernels import HacConfig, SmoothingKernel, _row_blocks, _shared_weights
 from .lrv import _pair_roots, _unit_sigmas
 # perfbench's tracer looks both up here
 from .lrv import long_run_covariances, pair_normalizer  # noqa: F401
@@ -51,6 +58,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
         a = a.copy()
         a.setflags(write=False)
     return a
+
+
+def _check_stats(s: np.ndarray) -> None:
+    """Raise ValueError unless every local statistic is finite and >= 0."""
+    if s.size:
+        # min and max build no temporary; nan and inf fail isfinite
+        lo, hi = s.min(), s.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("local statistics must be finite")
+        if lo < 0.0:
+            raise ValueError("local statistics are max-norms and cannot be negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +101,7 @@ class LocalStatTable:
             raise ValueError("one lambda per gridpoint required")
         if not np.isfinite(lam).all():
             raise ValueError("lambda must be finite")
-        if s.size:
-            # min and max build no temporary; nan and inf fail isfinite
-            lo, hi = s.min(), s.max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError("local statistics must be finite")
-            if lo < 0.0:
-                raise ValueError("local statistics are max-norms and cannot be negative")
+        _check_stats(s)
         s, lam = _frozen(s), _frozen(lam)
         pair_max = np.empty(s.shape[0])
         for blk in _row_blocks(*s.shape):
@@ -130,22 +142,42 @@ def build_normalizers(
 
     Raises DegenerateCovarianceError naming the first pair that fails a check.
     """
-    sigmas = _unit_sigmas(panel, kernel, config)
-    return _pair_roots(sigmas, range(panel.n_units), *_pair_index(panel.n_units))
+    return _stack_normalizers(panel.x[None], panel.y[None], kernel, config)
 
 
-def _pair_stats(a: np.ndarray, normalizers: np.ndarray) -> np.ndarray:
-    """(P, G) max-norms of normalizers[p] @ (a[i] - a[j]) for the sums a
-    (N, D, G), pairs in unit_pairs order, by one einsum a row block; its
-    optimize=False never calls BLAS, so no bit depends on BLAS threads. Besides
-    the pair index (16 bytes a pair), its temporaries, a block's gathered sums
-    and rows, 2 * D * G floats a pair, stay within _BLOCK_BYTES (one pair at
-    the least) and go when it returns."""
+def _stack_pairs(R: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit index arrays of the pairs of R panels of N units each, whose
+    units lie end to end: panel r's pairs in unit_pairs order, offset by r N."""
+    i_idx, j_idx = _pair_index(N)
+    offsets = N * np.arange(R)[:, None]
+    return (offsets + i_idx).ravel(), (offsets + j_idx).ravel()
+
+
+def _stack_normalizers(
+    x: np.ndarray, y: np.ndarray, kernel: SmoothingKernel, config: HacConfig
+) -> np.ndarray:
+    """build_normalizers of every panel of a stack, x (R, T, D) and
+    y (R, N, T), end to end, shape (R * n_pairs, D, D). The first pair that
+    fails a check is named by its units within its panel."""
+    (R, N, _), D = y.shape, x.shape[-1]
+    sigmas = _unit_sigmas(x, y, kernel, config).reshape(-1, D, D)
+    return _pair_roots(sigmas, [*range(N)] * R, *_stack_pairs(R, N))
+
+
+def _pair_stats(
+    a: np.ndarray, normalizers: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray
+) -> np.ndarray:
+    """(P, G) max-norms of normalizers[p] @ (a[i_idx[p]] - a[j_idx[p]]) for
+    the sums a (N, D, G), by one einsum a row block; its optimize=False never
+    calls BLAS, so no bit depends on BLAS threads. Besides the pair index
+    (16 bytes a pair), its temporaries, a block's gathered sums and rows,
+    2 * D * G floats a pair, stay within _BLOCK_BYTES (one pair at the least)
+    and go when it returns."""
     N, D, G = a.shape
     if G == 1:
         # einsum would sum e innermost, in SIMD partial sums; keep g inner
-        return _pair_stats(np.repeat(a, 2, axis=2), normalizers)[:, :1].copy()
-    i_idx, j_idx = _pair_index(N)
+        wide = np.repeat(a, 2, axis=2)
+        return _pair_stats(wide, normalizers, i_idx, j_idx)[:, :1].copy()
     s_hat = np.empty((len(normalizers), G))
     for blk in _row_blocks(len(s_hat), 2 * D * G):
         diff = a[i_idx[blk]]
@@ -180,7 +212,7 @@ def compute_stat_table(
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     ok = solve_mask(M)
     a = np.ascontiguousarray(a.transpose(1, 2, 0))  # (N, D, G)
-    s_hat = _pair_stats(a, normalizers)
+    s_hat = _pair_stats(a, normalizers, *_pair_index(panel.n_units))
     s_hat.setflags(write=False)  # the table keeps it without a copy
     return LocalStatTable(
         grid=grid,
@@ -189,6 +221,43 @@ def compute_stat_table(
         lam=grid.lam,
         fallback_points=tuple(int(g) for g in np.nonzero(~ok)[0]),
     )
+
+
+def _stack_pair_max(
+    x: np.ndarray,
+    y: np.ndarray,
+    kernel: SmoothingKernel,
+    grid: Grid,
+    config: HacConfig,
+    mask: np.ndarray | None = None,
+    q: float = np.inf,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """LocalStatTable.pair_max of every panel of a stack, x (R, T, D) and
+    y (R, N, T), shape (R, n_pairs), and, given a (n_pairs, G) mask, whether
+    any masked cell of each panel has S - lambda > q (else None).
+
+    One call a stage serves the whole stack: pilot fit, HAC, pair roots and
+    the response sums at the grid, then the statistics of all R * n_pairs
+    pairs. No grid design M, solve_mask, table, rejection or TestResult is
+    made. Each panel's maxima have the bits that build_normalizers and
+    compute_stat_table (so run_test) give it alone; the Monte Carlo harness
+    checks that on the first panel of every run and raises ArithmeticError
+    if they differ. The statistics must be finite and nonnegative, as a
+    table's must.
+    """
+    (R, N, T), D, G = y.shape, x.shape[-1], grid.n_points
+    check_grid_T(grid, T)
+    normalizers = _stack_normalizers(x, y, kernel, config)
+    W = _shared_weights(kernel, T, grid.u, grid.h)
+    a = _stacked_sums(W, grid.h, x, y)  # (R, G, N, D)
+    a = np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(R * N, D, G)
+    excess = _pair_stats(a, normalizers, *_stack_pairs(R, N))
+    del a
+    _check_stats(excess)
+    excess = excess.reshape(R, -1, G)
+    excess -= grid.lam
+    hits = None if mask is None else ((excess > q) & mask).any(axis=(1, 2))
+    return excess.max(axis=2), hits
 
 
 def local_stat(

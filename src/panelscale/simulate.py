@@ -22,27 +22,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _deferred
-from .kernels import HacConfig, SmoothingKernel, _pilot_points, _row_blocks, _shared_weights
+from .kernels import (
+    _BLOCK_BYTES, HacConfig, SmoothingKernel, _pilot_points, _row_blocks, _shared_weights,
+)
 
 # the names a run, an experiment or a panel generator needs, bound here by
 # _bind_deferred when one of them first runs: defining a DGP or reading a
 # config loads only kernels, and generating a panel adds panel
 __getattr__, _bind_deferred = _deferred(globals(), (
-    "Panel", "ordered_map", "dissimilarity_matrix", "hac_cluster", "select_k",
+    "Panel", "ordered_map", "_dissimilarity", "hac_cluster", "select_k",
     "gaussian_critical_value", "build_grid_application", "build_normalizers",
-    "compute_stat_table", "run_test", "unit_pairs",
+    "compute_stat_table", "run_test", "unit_pairs", "_stack_pair_max",
 ))
 
 
 # seed of the Gaussian draws behind the critical value every replication shares
 _CRIT_SEED = 1_234_567
-
-# multiply-adds of one replication's kernel sums, G*T*(N*D + D^2), from which
-# replications are spread over threads. Below it a replication is mostly small
-# NumPy calls that hold the GIL, so threads contend instead of overlapping: on
-# 2 vCPUs with 1 BLAS thread, 2 workers were slower at 2.9 M (20, 300, 2) and
-# faster from 5.2 M (5, 500, 2) on.
-_THREADED_REPLICATION_OPS = 4_000_000
 
 # ---------------------------------------------------------------------------
 # coefficient curves
@@ -259,18 +254,19 @@ def _labels_from_curves(curves) -> tuple[int, ...]:
 def _panel_blocks(spec: DgpSpec, seeds):
     """The panels of spec under each of seeds, in order, a block at a time.
 
-    Yields (n, panel) per block of n seeds, where panel(b) builds the block's
-    b-th panel with the bits it has alone, until the next block is drawn into
-    the same buffer. A block's normals take at most _BLOCK_BYTES (one panel at
-    the least). Each seed's normals come from one generator call, in the order
-    that one call per series draws them: the covariate columns, then each
-    unit. Every AR(1) series of the block (covariate columns at stationary sd
-    1, then the units' errors) is stepped in place, in one loop over t: its
-    first normal starts it from the stationary law and the rest are its
-    innovations. With coefficient 0 the step scales by sd*sqrt(1) = sd and
-    adds 0*prev, so i.i.d. errors keep the bits of normals times sd.
+    Yields (n, stack) per block of n seeds, where stack(rows) builds the
+    covariates x (k, T, D) and responses y (k, N, T) of the block's panels
+    rows (a slice of k of them), each panel with the bits it has alone,
+    until the next block is drawn into the same buffer. A block's normals
+    take at most _BLOCK_BYTES (one panel at the least). Each seed's normals
+    come from one generator call, in the order that one call per series draws
+    them: the covariate columns, then each unit. Every AR(1) series of the
+    block (covariate columns at stationary sd 1, then the units' errors) is
+    stepped in place, in one loop over t: its first normal starts it from the
+    stationary law and the rest are its innovations. With coefficient 0 the
+    step scales by sd*sqrt(1) = sd and adds 0*prev, so i.i.d. errors keep the
+    bits of normals times sd.
     """
-    _bind_deferred("Panel")
     T, D, N = spec.n_time, spec.n_covariates, spec.n_units
     ar_covariates = spec.covariate_model == "intercept_plus_ar1"
     noisy = spec.noise_sd > 0.0
@@ -286,19 +282,22 @@ def _panel_blocks(spec: DgpSpec, seeds):
     coef, sd = np.array(coef), np.array(sd)
     first = 0 if ar_covariates else n_x  # the series lie end to end from here
     u = np.arange(1, T + 1, dtype=float) / T
-    betas = [np.column_stack([c.eval(u) for c in curves]) for curves in spec.curves]
-    labels = tuple(f"u{i + 1}" for i in range(N))
+    betas = np.array([np.column_stack([c.eval(u) for c in curves]) for curves in spec.curves])
 
-    def panel(z: np.ndarray, series: np.ndarray, b: int) -> Panel:
+    def stack(z: np.ndarray, series: np.ndarray, rows: slice):
+        k = len(z[rows])
         if ar_covariates:
-            x = np.empty((T, D))
-            x[:, 0] = 1.0
-            x[:, 1:] = series[b, : D - 1].T
+            x = np.empty((k, T, D))
+            x[:, :, 0] = 1.0
+            x[:, :, 1:] = series[rows, : D - 1].transpose(0, 2, 1)
         else:
-            x = z[b, :n_x].reshape(T, D)
-        eps = series[b, coef.size - N :] if noisy else np.zeros((N, T))
-        signal = np.array([np.einsum("td,td->t", x, beta) for beta in betas])
-        return Panel(y=signal + eps, x=x, unit_labels=labels)
+            x = z[rows, :n_x].reshape(k, T, D).copy()
+        # each unit's signal is a sum over d of one panel's (T, D) products,
+        # as the scalar einsum "td,td->t" adds it
+        y = np.einsum("btd,ntd->bnt", x, betas)
+        # + 0.0 without noise: a signal of -0.0 reads 0.0, as signal + zeros
+        y += series[rows, coef.size - N :] if noisy else 0.0
+        return x, y
 
     buffer = None
     for blk in _row_blocks(len(seeds), max(1, n_z)):
@@ -316,14 +315,20 @@ def _panel_blocks(spec: DgpSpec, seeds):
         for t in range(1, T):
             # shock + coef * prev, one rounding each, as a scalar step
             series[:, :, t] += coef * series[:, :, t - 1]
-        yield len(z), functools.partial(panel, z, series)
+        yield len(z), functools.partial(stack, z, series)
+
+
+def _unit_labels(n_units: int) -> tuple[str, ...]:
+    return tuple(f"u{i + 1}" for i in range(n_units))
 
 
 def generate_panel(spec: DgpSpec) -> tuple[Panel, GroundTruth]:
     """Simulate Y_it = X_t' beta_i(t/T) + eps_it exactly; bit-reproducible."""
-    ((_, panel),) = _panel_blocks(spec, [spec.seed])
+    _bind_deferred("Panel")
+    ((_, stack),) = _panel_blocks(spec, [spec.seed])
+    x, y = stack(slice(0, 1))
     truth = GroundTruth(curves=spec.curves, group_assignment=spec.group_assignment)
-    return panel(0), truth
+    return Panel(y=y[0], x=x[0], unit_labels=_unit_labels(spec.n_units)), truth
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +395,19 @@ def _replication_seeds(base_seed: int, R: int) -> list[int]:
 def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
            hac: HacConfig, B: int, alpha: float, crit_seed: int,
            n_workers: int, *runs: str) -> tuple[float, Grid, CriticalValue, tuple]:
-    """Start the clock, bind the harness's names and runs (the outcome's),
-    validate R and crit_seed, default the grid and get the one Gaussian
-    critical value that every replication shares. The grid and pilot kernel
-    weights are taken first and returned: the caller holds them until it
-    returns, so the draws and the replications share one build."""
+    """Start the clock, bind the harness's names and runs (the cross-check's
+    and the outcome's), validate R, crit_seed and the noise, default the grid
+    and get the one Gaussian critical value that every replication shares.
+    The grid and pilot kernel weights are taken first and returned: the
+    caller holds them until it returns, so the draws and the replications
+    share one build."""
     start = time.perf_counter()
-    _bind_deferred("ordered_map", "gaussian_critical_value", "build_grid_application", *runs)
+    _bind_deferred("Panel", "ordered_map", "gaussian_critical_value",
+                   "build_grid_application", "_stack_pair_max", *runs)
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
+    if not spec.noise_sd > 0.0:  # no long-run covariance to normalise by
+        raise ValueError(f"noise_sd = {spec.noise_sd} must be positive")
     if not 0 <= crit_seed < 2**63:  # the draw cache key's signed 64-bit field
         raise ValueError(f"crit_seed={crit_seed} outside [0, 2**63)")
     T = spec.n_time
@@ -413,17 +422,91 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
     return start, grid, crit, held
 
 
-def _replicate(spec: DgpSpec, R: int, grid: Grid, n_workers: int, outcome) -> list:
-    """outcome(panel) for R panels drawn from spec, in replication order; the
-    panels are generated a block at a time, the outcomes run on n_workers
-    threads only when one replication is large enough to pay."""
-    N, T, D = spec.n_units, spec.n_time, spec.n_covariates
-    ops = grid.n_points * T * (N * D + D * D)
-    workers = n_workers if ops >= _THREADED_REPLICATION_OPS else 1
-    outcomes = []
-    for n, panel in _panel_blocks(spec, _replication_seeds(spec.seed, R)):
-        outcomes += ordered_map(lambda b: outcome(panel(b)), range(n), workers)
+def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
+               hac: HacConfig, crit: CriticalValue, n_workers: int, outcome,
+               mask: np.ndarray | None = None, by_test: bool = True) -> list:
+    """outcome(pair_max, hits) of R panels drawn from spec, in replication
+    order: pair_max (k, n_pairs) holds LocalStatTable.pair_max of k panels and
+    hits (k,) whether a cell under mask (n_pairs, G) has S - lambda > q (None
+    without a mask); outcome returns one entry a panel.
+
+    The panels are generated a block at a time, and each block is split into
+    sub-blocks whose stacked pass (_stack_pair_max) keeps its temporaries
+    within _BLOCK_BYTES (one panel at the least). The sub-blocks run on
+    n_workers threads only where that raises no peak RSS
+    (_replication_workers).
+
+    The first replication also runs through the public one-panel path, and
+    the run raises ArithmeticError unless that gives the block's values: with
+    by_test, run_test's psi_hat (bit for bit), rejected pairs and rejections
+    under mask; else build_normalizers and compute_stat_table's pair_max, bit
+    for bit.
+    """
+    N, T, D, G = spec.n_units, spec.n_time, spec.n_covariates, grid.n_points
+    # floats a replication's pass may hold: its panel, the pilot fit and HAC's
+    # residual series and spectra, and the grid stage's response sums,
+    # statistics and the rows gathered for them, counted as if all were alive
+    # at once. The stages run one after another, so this is 1.1 to 1.8 times
+    # the tracemalloc peak from (2,100,1) to (10,300,2); at (5,300,2) the
+    # 3-panel sub-blocks it gives kept a size run's peak RSS 0.4 MB below
+    # 5-panel ones, for 3 % more CPU time
+    P = N * (N - 1) // 2
+    floats = T * (D + N) + 7 * N * T * D + N * D * G + P * G * (2 * D + 1)
+    workers = _replication_workers(n_workers, G, T, floats)
+    outcomes: list = []
+    for n, stack in _panel_blocks(spec, _replication_seeds(spec.seed, R)):
+        def reduce(rows: slice, stack=stack):
+            return _stack_pair_max(*stack(rows), kernel, grid, hac, mask, crit.q)
+
+        parts = ordered_map(reduce, _row_blocks(n, floats), workers)
+        pair_max = np.concatenate([p for p, _ in parts])
+        hits = None if mask is None else np.concatenate([h for _, h in parts])
+        if not outcomes:
+            x, y = stack(slice(0, 1))
+            panel = Panel(y=y[0], x=x[0], unit_labels=_unit_labels(N))
+            _cross_check(panel, kernel, grid, hac, crit, mask, pair_max[0],
+                         None if hits is None else hits[0], by_test)
+        outcomes += outcome(pair_max, hits)
     return outcomes
+
+
+def _replication_workers(n_workers: int, G: int, T: int, floats: int) -> int:
+    """n_workers if a second sub-block in flight raises no peak RSS, else 1.
+
+    On 2 vCPUs with 1 BLAS thread, two workers ran the replications faster
+    at most shapes measured, from (5,300,2) to (50,500,3), but raised a run's
+    peak RSS unless two sub-block passes fit where its draws had held their
+    float32 copy of the grid's kernel weights, 4 G T bytes.
+    """
+    sub_block = 8 * floats * max(1, _BLOCK_BYTES // (8 * floats))
+    return n_workers if 2 * sub_block <= 4 * G * T else 1
+
+
+def _cross_check(panel: Panel, kernel: SmoothingKernel, grid: Grid, hac: HacConfig,
+                 crit: CriticalValue, mask, pair_max: np.ndarray, hit,
+                 by_test: bool) -> None:
+    """Raise ArithmeticError unless the one-panel path gives panel the block
+    pass's values: through run_test with by_test (psi_hat, the rejected pairs
+    and whether a rejection lies under mask), else through build_normalizers
+    and compute_stat_table (pair_max, bit for bit)."""
+    if not by_test:
+        normalizers = build_normalizers(panel, kernel, hac)
+        got = compute_stat_table(panel, kernel, grid, normalizers).pair_max.tobytes()
+        want = pair_max.tobytes()
+    else:
+        result = run_test(panel, kernel, grid, hac, crit.alpha, crit)
+        pair_of = {pair: p for p, pair in enumerate(unit_pairs(panel.n_units))}
+        point_of = {point: g for g, point in enumerate(grid.points)}
+        cells = [(pair_of[r.i, r.j], point_of[r.u, r.h]) for r in result.rejections]
+        got = (result.psi_hat, {p for p, _ in cells},
+               mask is not None and any(mask[c] for c in cells))
+        want = (float(pair_max.max()), set(np.nonzero(pair_max > crit.q)[0].tolist()),
+                bool(hit))
+    if got != want:
+        raise ArithmeticError(
+            "the stacked replication pass and the one-panel path disagree on the "
+            "first replication"
+        )
 
 
 def _report(experiment: str, spec: DgpSpec, R: int, alpha: float, B: int,
@@ -453,12 +536,10 @@ def run_size_experiment(
     if len(set(spec.curves)) != 1:
         raise ValueError("size experiment requires all units to share one curve")
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers, "run_test")
-
-    def outcome(panel: Panel) -> bool:
-        return run_test(panel, kernel, grid, hac, alpha, crit).reject_global
-
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+                                     crit_seed, n_workers, "run_test", "unit_pairs")
+    outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers,
+                          lambda pair_max, _: list(pair_max.max(axis=1) > crit.q))
+    rate = float(np.mean(outcomes))
     return _report(
         "size", spec, R, alpha, B, start, crit,
         rejection_rate=rate, rejection_se=binomial_se(rate, R),
@@ -495,15 +576,13 @@ def run_power_experiment(
         scaled = dataclasses.replace(
             spec, curves=tuple(_scale_bumps(tup, float(scale)) for tup in spec.curves)
         )
-        m0 = GroundTruth(curves=scaled.curves).m0_mask(grid, pairs)
-        hetero = {pairs[p] for p in np.nonzero(~m0.all(axis=1))[0]}
+        hetero = ~GroundTruth(curves=scaled.curves).m0_mask(grid, pairs).all(axis=1)
 
-        def outcome(panel: Panel, hetero=hetero) -> tuple[bool, bool]:
-            result = run_test(panel, kernel, grid, hac, alpha, crit)
-            named = any((r.i, r.j) in hetero for r in result.rejections)
-            return result.reject_global, named
+        def outcome(pair_max: np.ndarray, _, hetero=hetero) -> list:
+            rejected = pair_max > crit.q
+            return list(zip(rejected.any(axis=1), rejected[:, hetero].any(axis=1)))
 
-        outcomes = _replicate(scaled, R, grid, n_workers, outcome)
+        outcomes = _replicate(scaled, R, grid, kernel, hac, crit, n_workers, outcome)
         rate = float(np.mean([o[0] for o in outcomes]))
         power_curve.append(
             {
@@ -537,13 +616,9 @@ def run_fwer_experiment(
                                      crit_seed, n_workers, "run_test", "unit_pairs")
     pairs = unit_pairs(spec.n_units)
     m0 = GroundTruth(curves=spec.curves).m0_mask(grid, pairs)
-    true_nulls = {(*pairs[p], grid.points[g]) for p, g in zip(*np.nonzero(m0))}
-
-    def outcome(panel: Panel) -> bool:
-        result = run_test(panel, kernel, grid, hac, alpha, crit)
-        return any((r.i, r.j, (r.u, r.h)) in true_nulls for r in result.rejections)
-
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+    outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers,
+                          lambda _, hits: list(hits), mask=m0)
+    rate = float(np.mean(outcomes))
     return _report(
         "fwer", spec, R, alpha, B, start, crit,
         extras={"n_true_nulls": int(m0.sum())},
@@ -567,17 +642,21 @@ def run_cluster_experiment(
         raise ValueError("cluster experiment requires group_assignment ground truth")
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha, crit_seed,
                                      n_workers, "build_normalizers", "compute_stat_table",
-                                     "dissimilarity_matrix", "hac_cluster", "select_k")
+                                     "_dissimilarity", "hac_cluster", "select_k")
     target = _partition(spec.group_assignment)
+    i_idx, j_idx = np.triu_indices(spec.n_units, k=1)  # unit_pairs order
 
-    def outcome(panel: Panel) -> bool:
-        normalizers = build_normalizers(panel, kernel, hac)
-        table = compute_stat_table(panel, kernel, grid, normalizers)
-        d = dissimilarity_matrix(table)
-        result = select_k(hac_cluster(d, "complete"), d, crit.q)
-        return _partition(result.membership) == target
+    def outcome(pair_max: np.ndarray, _) -> list:
+        recovered = []
+        for row in pair_max:
+            d = _dissimilarity(spec.n_units, i_idx, j_idx, row)
+            result = select_k(hac_cluster(d, "complete"), d, crit.q)
+            recovered.append(_partition(result.membership) == target)
+        return recovered
 
-    rate = float(np.mean(_replicate(spec, R, grid, n_workers, outcome)))
+    outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers, outcome,
+                          by_test=False)
+    rate = float(np.mean(outcomes))
     return _report(
         "cluster", spec, R, alpha, B, start, crit,
         extras={"k_true": len(target)},
@@ -735,8 +814,6 @@ def run_from_config(cfg: dict, n_workers: int = 1) -> ExperimentReport:
         raise ValueError(f"scales = {cfg['scales']} must all be finite")
     if cfg["pooled_lrv"] not in (0, 1):
         raise ValueError(f"pooled_lrv = {cfg['pooled_lrv']} must be 0 or 1")
-    if not cfg["noise_sd"] > 0.0:  # no long-run covariance to normalise by
-        raise ValueError(f"noise_sd = {cfg['noise_sd']} must be positive")
     _bind_deferred("build_grid_application")
     N, T, D, seed = cfg["N"], cfg["T"], cfg["D"], cfg["seed"]
     noise = dict(ar_coef=cfg["ar_coef"], noise_sd=cfg["noise_sd"])

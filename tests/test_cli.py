@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 import warnings
@@ -753,3 +754,35 @@ def test_readme_library_example_runs(capsys):
     assert any(line.startswith("units ") for line in lines[1:-1])
     k_hat, membership = lines[-1].split(" ", 1)
     assert int(k_hat) >= 2 and membership.startswith("(")
+
+
+PINNED_TINY = "T = 100\nD = 2\nB = 150\n"
+# sha256 of report.json for tiny configs, taken with one panel at a time per
+# replication (before the stacked replication pass): the block pass must
+# reproduce every byte, at any --threads
+PINNED_REPORTS = {
+    "size": ("experiment = size\nN = 3\nR = 12\nalpha = 0.05\nseed = 4\n",
+             "283fac586da27d733ba28b4d098a4bf62fff7f3673dcad619672ce652b8b547e"),
+    "power": ("experiment = power\nN = 3\nR = 8\nalpha = 0.01\nseed = 5\n"
+              "scales = 0.2,0.5\n",
+              "f5db830c9e5cf8e86c3f9d0e2536dbb96d85b5aad82d808eec31cdeb42a94082"),
+    "fwer": ("experiment = fwer\nR = 8\nalpha = 0.05\nseed = 6\n",
+             "3d156df9d7a4d678911117c34456aa6d53b792921cfb732c750387a3d46bca33"),
+    "cluster": ("experiment = cluster\nR = 8\nalpha = 0.2\nseed = 7\n",
+                "c2e9855bd013fb552534c5fd83e735bf0cce29970263c558280047847aa3b3fc"),
+    "size-pooled": ("experiment = size\nN = 3\nR = 12\nalpha = 0.05\nseed = 8\n"
+                    "pooled_lrv = 1\n",
+                    "4aabf7d4f77d6666ee6e751f68b1829c4bb934191f8d0bb7fb66c977053942aa"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", list(PINNED_REPORTS))
+def test_cmd_simulate_report_bytes_pinned(tmp_path, name, threads):
+    config, digest = PINNED_REPORTS[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config + PINNED_TINY)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfg), "--threads", threads, "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == digest

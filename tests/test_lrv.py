@@ -499,8 +499,8 @@ half = N // 2
 y[half : 2 * half] = y[:half]
 panel = Panel(y=y, x=x, unit_labels=[f"u{i}" for i in range(N)])
 kernel, config = SmoothingKernel(), HacConfig()
-v = _pilot_residuals(panel, kernel, config.pilot_bandwidth)
-sigmas = _unit_sigmas(panel, kernel, config)
+v = _pilot_residuals(panel.x[None], panel.y[None], kernel, config.pilot_bandwidth)[0]
+sigmas = _unit_sigmas(panel.x[None], panel.y[None], kernel, config)[0]
 normalizers = build_normalizers(panel, kernel, config)
 table = compute_stat_table(panel, kernel, build_grid_application(T), normalizers)
 pairs = unit_pairs(N)

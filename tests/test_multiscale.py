@@ -386,7 +386,8 @@ def test_pair_stats_bit_equal_to_scalar_oracle(D, broadcast):
     for G in (1, 2, 37):
         a = rng.standard_normal((N, D, G)) * 10.0 ** rng.integers(-3, 4, (N, D, 1))
         np.testing.assert_array_equal(
-            multiscale._pair_stats(a, normalizers), oracles.naive_pair_stats(a, normalizers)
+            multiscale._pair_stats(a, normalizers, *multiscale._pair_index(N)),
+            oracles.naive_pair_stats(a, normalizers),
         )
 
 

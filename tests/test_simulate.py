@@ -309,12 +309,13 @@ def _record_workers(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize(
     "shape, expected",
-    [((5, 300, 2), 1), ((5, 500, 2), 3)],
-    ids=["paper-shape-serial", "above-crossover-threaded"],
+    [((5, 300, 2), 1), ((20, 300, 2), 1), ((5, 500, 2), 3)],
+    ids=["paper-shape-serial", "twenty-units-serial", "above-crossover-threaded"],
 )
 def test_replications_use_threads_only_above_the_crossover(monkeypatch, shape, expected):
-    # one replication's kernel sums at the application grid: 0.9 M
-    # multiply-adds at (5, 300, 2), 5.2 M at (5, 500, 2)
+    # two sub-block passes, about 1.7 MiB at (5, 300, 2), 4.6 MiB at
+    # (20, 300, 2) and 1.3 MiB at (5, 500, 2), against the draws' float32
+    # grid weights: 0.25, 0.25 and 1.42 MiB
     seen = _record_workers(monkeypatch)
     run_size_experiment(homogeneous_spec(*shape, seed=2), alpha=0.5, B=100, R=2,
                         n_workers=3)
@@ -323,7 +324,7 @@ def test_replications_use_threads_only_above_the_crossover(monkeypatch, shape, e
 
 def test_threaded_replications_match_serial(monkeypatch):
     # the tiny shapes above never reach the thread pool; force it
-    monkeypatch.setattr(simulate, "_THREADED_REPLICATION_OPS", 0)
+    monkeypatch.setattr(simulate, "_replication_workers", lambda n_workers, *_: n_workers)
     seen = _record_workers(monkeypatch)
     size_spec = homogeneous_spec(N=3, T=100, D=1, seed=31)
     cluster_spec = two_group_spec(T=100, D=1, seed=32, height=3.0, group_sizes=(2, 2))
@@ -341,7 +342,7 @@ def test_threaded_replications_match_serial(monkeypatch):
 def test_replications_share_one_build_of_each_weight_matrix(monkeypatch, n_workers):
     # a run holds its grid and pilot W from before its draws until it returns:
     # the draws and the replications of every power scale only look them up
-    monkeypatch.setattr(simulate, "_THREADED_REPLICATION_OPS", 0)
+    monkeypatch.setattr(simulate, "_replication_workers", lambda n_workers, *_: n_workers)
     seen = _record_workers(monkeypatch)
     built = []
     real = kernels.weights_matrix
@@ -471,13 +472,39 @@ def test_generate_panel_matches_one_call_per_series(
     n_z = n_x + (3 * 50 if noise_sd > 0.0 else 0)
     monkeypatch.setattr(kernels, "_BLOCK_BYTES", 2 * 8 * max(1, n_z))
     seeds = [spec.seed + r for r in range(5)]
-    blocks = [[panel(b) for b in range(n)] for n, panel in simulate._panel_blocks(spec, seeds)]
-    assert [len(b) for b in blocks] == [2, 2, 1]
-    for seed, panel in zip(seeds, [p for b in blocks for p in b]):
+    blocks = [stack(slice(0, n)) for n, stack in simulate._panel_blocks(spec, seeds)]
+    assert [len(x) for x, _ in blocks] == [2, 2, 1]
+    stacked = [(x[b], y[b]) for x, y in blocks for b in range(len(x))]
+    for seed, (x, y) in zip(seeds, stacked):
         one = dataclasses.replace(spec, seed=seed)
         ref = oracles.naive_generate_panel(one)
         alone, _ = generate_panel(one)
-        for got in (panel, alone):
-            assert got.x.tobytes() == ref.x.tobytes()
-            assert got.y.tobytes() == ref.y.tobytes()
-            assert got.unit_labels == ref.unit_labels
+        assert alone.unit_labels == ref.unit_labels
+        for got_x, got_y in ((x, y), (alone.x, alone.y)):
+            assert got_x.tobytes() == ref.x.tobytes()
+            assert got_y.tobytes() == ref.y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda spec, **kw: run_size_experiment(spec, **kw),
+        lambda spec, **kw: run_power_experiment(spec, [1.0], **kw),
+        lambda spec, **kw: run_fwer_experiment(spec, **kw),
+        lambda spec, **kw: run_cluster_experiment(
+            dataclasses.replace(spec, group_assignment=(0, 0, 1)), **kw),
+    ],
+    ids=["size", "power", "fwer", "cluster"],
+)
+def test_noiseless_spec_refused_before_any_draw(monkeypatch, run):
+    # the statistic has no long-run covariance to normalise by; each runner
+    # refuses before the B draws, not after them
+    from panelscale import critvals
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the critical value's draws were made")
+
+    monkeypatch.setattr(critvals, "simulate_phi", no_draws)
+    spec = homogeneous_spec(3, 100, 1, seed=1, noise_sd=0.0)
+    with pytest.raises(ValueError, match=r"^noise_sd = 0.0 must be positive$"):
+        run(spec, alpha=0.05, B=1000, R=3, grid=smoke_grid(100))
