@@ -7,12 +7,12 @@ For a pair (i, j) and gridpoint (u, h) the local statistic is
 with Nrm_ij the inverse square root of the averaged long-run covariances.
 Algebraically this equals the kernel-sum form
 || Nrm_ij @ (1/sqrt(Th)) sum_t X_t (Y_it - Y_jt) K_t ||_inf, which needs no
-matrix inversion; one einsum a block of pairs computes it. Gridpoints whose
-design fails the condition guard are only recorded (fallback_points).
+matrix inversion; _pair_blocks forms it, one einsum a row block of pairs.
+Gridpoints whose design fails the condition guard are only recorded (fallback_points).
 
 A Monte Carlo replication needs only each pair's maximum: _stack_pair_max
 takes a stack of panels through the same stages, one call a stage for all of
-them, and returns only those maxima (and whether a masked cell exceeds q).
+them, and keeps of each block only those maxima (and masked exceedances).
 Each panel's maxima have the bits run_test and compute_stat_table give it
 alone, and the Monte Carlo harness checks that on the first panel of every
 run, raising ArithmeticError if they differ.
@@ -44,9 +44,12 @@ def unit_pairs(n_units: int) -> tuple[tuple[int, int], ...]:
 
 
 @functools.lru_cache(maxsize=4)
-def _pair_index(n_units: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit index arrays (i, j) of the pairs in unit_pairs order, read-only."""
+def _pair_index(n_units: int, panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Unit index arrays (i, j), read-only, of the pairs of panels whose units
+    lie end to end: panel r's in unit_pairs order, offset by r * n_units."""
     i_idx, j_idx = np.triu_indices(n_units, k=1)
+    offsets = n_units * np.arange(panels)[:, None]
+    i_idx, j_idx = (offsets + i_idx).ravel(), (offsets + j_idx).ravel()
     i_idx.setflags(write=False)
     j_idx.setflags(write=False)
     return i_idx, j_idx
@@ -145,14 +148,6 @@ def build_normalizers(
     return _stack_normalizers(panel.x[None], panel.y[None], kernel, config)
 
 
-def _stack_pairs(R: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit index arrays of the pairs of R panels of N units each, whose
-    units lie end to end: panel r's pairs in unit_pairs order, offset by r N."""
-    i_idx, j_idx = _pair_index(N)
-    offsets = N * np.arange(R)[:, None]
-    return (offsets + i_idx).ravel(), (offsets + j_idx).ravel()
-
-
 def _stack_normalizers(
     x: np.ndarray, y: np.ndarray, kernel: SmoothingKernel, config: HacConfig
 ) -> np.ndarray:
@@ -161,32 +156,32 @@ def _stack_normalizers(
     fails a check is named by its units within its panel."""
     (R, N, _), D = y.shape, x.shape[-1]
     sigmas = _unit_sigmas(x, y, kernel, config).reshape(-1, D, D)
-    return _pair_roots(sigmas, [*range(N)] * R, *_stack_pairs(R, N))
+    return _pair_roots(sigmas, [*range(N)] * R, *_pair_index(N, R))
 
 
-def _pair_stats(
+def _pair_blocks(
     a: np.ndarray, normalizers: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray
-) -> np.ndarray:
-    """(P, G) max-norms of normalizers[p] @ (a[i_idx[p]] - a[j_idx[p]]) for
-    the sums a (N, D, G), by one einsum a row block; its optimize=False never
-    calls BLAS, so no bit depends on BLAS threads. Besides the pair index
-    (16 bytes a pair), its temporaries, a block's gathered sums and rows,
-    2 * D * G floats a pair, stay within _BLOCK_BYTES (one pair at the least)
-    and go when it returns."""
-    N, D, G = a.shape
+):
+    """Yields (rows, S) a row block of pairs at a time, S[k] the max-norms of
+    normalizers[p] @ (a[i_idx[p]] - a[j_idx[p]]) for the sums a (K, D, G) and
+    the k-th pair p of rows. The only code that forms S: one einsum a block,
+    whose optimize=False never calls BLAS, so no bit depends on BLAS threads.
+    A block's gathered sums and products, 2 * D * G floats a pair, stay within
+    _BLOCK_BYTES (one pair at the least) and go before its S is taken."""
+    G = a.shape[2]
     if G == 1:
         # einsum would sum e innermost, in SIMD partial sums; keep g inner
-        wide = np.repeat(a, 2, axis=2)
-        return _pair_stats(wide, normalizers, i_idx, j_idx)[:, :1].copy()
-    s_hat = np.empty((len(normalizers), G))
-    for blk in _row_blocks(len(s_hat), 2 * D * G):
-        diff = a[i_idx[blk]]
-        diff -= a[j_idx[blk]]
+        a = np.repeat(a, 2, axis=2)
+    D, width = a.shape[1:]
+    for rows in _row_blocks(len(normalizers), 2 * D * width):
+        diff = a[i_idx[rows]]
+        diff -= a[j_idx[rows]]
         # each product is added to its row in the order e = 0, 1, ...
-        rows = np.einsum("pde,peg->pdg", normalizers[blk], diff)
-        np.abs(rows, out=rows).max(axis=1, out=s_hat[blk])
-        del diff, rows  # before the next block is gathered
-    return s_hat
+        prods = np.einsum("pde,peg->pdg", normalizers[rows], diff)
+        del diff
+        s = np.abs(prods, out=prods).max(axis=1)
+        del prods
+        yield rows, s[:, :G]
 
 
 def compute_stat_table(
@@ -212,7 +207,9 @@ def compute_stat_table(
     M, a = batched_designs(panel, kernel, grid.u, grid.h)
     ok = solve_mask(M)
     a = np.ascontiguousarray(a.transpose(1, 2, 0))  # (N, D, G)
-    s_hat = _pair_stats(a, normalizers, *_pair_index(panel.n_units))
+    s_hat = np.empty((len(pairs), grid.n_points))
+    for rows, s in _pair_blocks(a, normalizers, *_pair_index(panel.n_units)):
+        s_hat[rows] = s
     s_hat.setflags(write=False)  # the table keeps it without a copy
     return LocalStatTable(
         grid=grid,
@@ -231,19 +228,19 @@ def _stack_pair_max(
     config: HacConfig,
     mask: np.ndarray | None = None,
     q: float = np.inf,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """LocalStatTable.pair_max of every panel of a stack, x (R, T, D) and
     y (R, N, T), shape (R, n_pairs), and, given a (n_pairs, G) mask, whether
-    any masked cell of each panel has S - lambda > q (else None).
+    any masked cell of each panel has S - lambda > q (all False without one).
 
     One call a stage serves the whole stack: pilot fit, HAC, pair roots and
     the response sums at the grid, then the statistics of all R * n_pairs
-    pairs. No grid design M, solve_mask, table, rejection or TestResult is
-    made. Each panel's maxima have the bits that build_normalizers and
-    compute_stat_table (so run_test) give it alone; the Monte Carlo harness
-    checks that on the first panel of every run and raises ArithmeticError
-    if they differ. The statistics must be finite and nonnegative, as a
-    table's must.
+    pairs, each row block reduced as _pair_blocks yields it. No grid design
+    M, solve_mask, table, rejection or TestResult is made. Each panel's
+    maxima have the bits that build_normalizers and compute_stat_table (so
+    run_test) give it alone; the Monte Carlo harness checks that on the first
+    panel of every run and raises ArithmeticError if they differ. The
+    statistics must be finite and nonnegative, as a table's must.
     """
     (R, N, T), D, G = y.shape, x.shape[-1], grid.n_points
     check_grid_T(grid, T)
@@ -251,13 +248,15 @@ def _stack_pair_max(
     W = _shared_weights(kernel, T, grid.u, grid.h)
     a = _stacked_sums(W, grid.h, x, y)  # (R, G, N, D)
     a = np.ascontiguousarray(a.transpose(0, 2, 3, 1)).reshape(R * N, D, G)
-    excess = _pair_stats(a, normalizers, *_stack_pairs(R, N))
-    del a
-    _check_stats(excess)
-    excess = excess.reshape(R, -1, G)
-    excess -= grid.lam
-    hits = None if mask is None else ((excess > q) & mask).any(axis=(1, 2))
-    return excess.max(axis=2), hits
+    P = len(normalizers) // R
+    pair_max, hot = np.empty(R * P), np.zeros(R * P, dtype=bool)
+    for rows, excess in _pair_blocks(a, normalizers, *_pair_index(N, R)):
+        _check_stats(excess)
+        excess -= grid.lam
+        excess.max(axis=1, out=pair_max[rows])
+        if mask is not None:  # a block may straddle panels: pair k is mask row k % P
+            hot[rows] = ((excess > q) & mask[np.arange(R * P)[rows] % P]).any(axis=1)
+    return pair_max.reshape(R, P), hot.reshape(R, P).any(axis=1)
 
 
 def local_stat(

@@ -43,35 +43,41 @@ _CRIT_SEED = 1_234_567
 # coefficient curves
 
 
+class _Shape:
+    """What the curve shapes share: every field must be finite (refused by
+    name); piecewise linear with no breakpoints, unless a shape overrides."""
+
+    piecewise_linear = True
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if not math.isfinite(value := getattr(self, f.name)):
+                kind = type(self).__name__.lower()
+                raise ValueError(f"{kind} {f.name} {value} must be finite")
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_Shape):
     level: float = 0.0
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         return np.full_like(np.asarray(u, dtype=float), self.level)
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
-    piecewise_linear = True
-
 
 @dataclass(frozen=True)
-class Linear:
+class Linear(_Shape):
     intercept: float = 0.0
     slope: float = 1.0
 
     def eval(self, u: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * np.asarray(u, dtype=float)
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
-    piecewise_linear = True
-
 
 @dataclass(frozen=True)
-class Sine:
+class Sine(_Shape):
     amplitude: float = 1.0
     cycles: float = 1.0
     phase: float = 0.0
@@ -83,14 +89,11 @@ class Sine:
             2.0 * np.pi * self.cycles * u + self.phase
         )
 
-    def breakpoints(self) -> tuple[float, ...]:
-        return ()
-
     piecewise_linear = False
 
 
 @dataclass(frozen=True)
-class Bump:
+class Bump(_Shape):
     """Trapezoid bump: full height on [center - width/2, center + width/2],
     linear shoulders of width/4 on each side, zero outside.
 
@@ -104,9 +107,7 @@ class Bump:
     height: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("center", "width", "height"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"bump {name} {getattr(self, name)} must be finite")
+        super().__post_init__()
         if self.width <= 0.0:
             raise ValueError("bump width must be positive")
 
@@ -127,8 +128,6 @@ class Bump:
             self.center + half,
             self.center + half + self.taper,
         )
-
-    piecewise_linear = True
 
 
 Curve = Constant | Linear | Sine | Bump
@@ -201,8 +200,8 @@ class DgpSpec:
             raise ValueError("covariate AR coefficient must satisfy |a| < 1")
         if self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError(f"noise_sd {self.noise_sd} must be finite and nonnegative")
         if self.covariate_model not in ("intercept_plus_ar1", "iid_normal"):
             raise ValueError(f"unknown covariate model {self.covariate_model!r}")
         if len(self.curves) != self.n_units:
@@ -394,16 +393,17 @@ def _replication_seeds(base_seed: int, R: int) -> list[int]:
 
 def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
            hac: HacConfig, B: int, alpha: float, crit_seed: int,
-           n_workers: int, *runs: str) -> tuple[float, Grid, CriticalValue, tuple]:
-    """Start the clock, bind the harness's names and runs (the cross-check's
-    and the outcome's), validate R, crit_seed and the noise, default the grid
+           n_workers: int) -> tuple[float, Grid, CriticalValue, tuple]:
+    """Start the clock, bind the harness's names (the stacked pass's and the
+    cross-check's), validate R, crit_seed and the noise, default the grid
     and get the one Gaussian critical value that every replication shares.
     The grid and pilot kernel weights are taken first and returned: the
     caller holds them until it returns, so the draws and the replications
     share one build."""
     start = time.perf_counter()
     _bind_deferred("Panel", "ordered_map", "gaussian_critical_value",
-                   "build_grid_application", "_stack_pair_max", *runs)
+                   "build_grid_application", "_stack_pair_max", "run_test",
+                   "unit_pairs", "build_normalizers", "compute_stat_table")
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
     if not spec.noise_sd > 0.0:  # no long-run covariance to normalise by
@@ -427,8 +427,8 @@ def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
                mask: np.ndarray | None = None, by_test: bool = True) -> list:
     """outcome(pair_max, hits) of R panels drawn from spec, in replication
     order: pair_max (k, n_pairs) holds LocalStatTable.pair_max of k panels and
-    hits (k,) whether a cell under mask (n_pairs, G) has S - lambda > q (None
-    without a mask); outcome returns one entry a panel.
+    hits (k,) whether a cell under mask (n_pairs, G) has S - lambda > q (all
+    False without a mask); outcome returns one entry a panel.
 
     The panels are generated a block at a time, and each block is split into
     sub-blocks whose stacked pass (_stack_pair_max) keeps its temporaries
@@ -439,17 +439,17 @@ def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
     The first replication also runs through the public one-panel path, and
     the run raises ArithmeticError unless that gives the block's values: with
     by_test, run_test's psi_hat (bit for bit), rejected pairs and rejections
-    under mask; else build_normalizers and compute_stat_table's pair_max, bit
-    for bit.
+    under mask; else build_normalizers and compute_stat_table's pair_max (bit
+    for bit) and hit.
     """
     N, T, D, G = spec.n_units, spec.n_time, spec.n_covariates, grid.n_points
     # floats a replication's pass may hold: its panel, the pilot fit and HAC's
     # residual series and spectra, and the grid stage's response sums,
     # statistics and the rows gathered for them, counted as if all were alive
-    # at once. The stages run one after another, so this is 1.1 to 1.8 times
-    # the tracemalloc peak from (2,100,1) to (10,300,2); at (5,300,2) the
-    # 3-panel sub-blocks it gives kept a size run's peak RSS 0.4 MB below
-    # 5-panel ones, for 3 % more CPU time
+    # at once. The pass holds one row block of statistics, not its (P, G), so
+    # the last term over-counts; it stays so that the sub-blocks and the
+    # worker choice stay those measured: at (5,300,2) the 3-panel sub-blocks
+    # kept a size run's peak RSS 0.4 MB below 5-panel ones, for 3 % more CPU time
     P = N * (N - 1) // 2
     floats = T * (D + N) + 7 * N * T * D + N * D * G + P * G * (2 * D + 1)
     workers = _replication_workers(n_workers, G, T, floats)
@@ -459,13 +459,12 @@ def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
             return _stack_pair_max(*stack(rows), kernel, grid, hac, mask, crit.q)
 
         parts = ordered_map(reduce, _row_blocks(n, floats), workers)
-        pair_max = np.concatenate([p for p, _ in parts])
-        hits = None if mask is None else np.concatenate([h for _, h in parts])
+        pair_max, hits = map(np.concatenate, zip(*parts))
         if not outcomes:
             x, y = stack(slice(0, 1))
             panel = Panel(y=y[0], x=x[0], unit_labels=_unit_labels(N))
-            _cross_check(panel, kernel, grid, hac, crit, mask, pair_max[0],
-                         None if hits is None else hits[0], by_test)
+            _cross_check(panel, kernel, grid, hac, crit, mask, pair_max[0], hits[0],
+                         by_test)
         outcomes += outcome(pair_max, hits)
     return outcomes
 
@@ -488,11 +487,12 @@ def _cross_check(panel: Panel, kernel: SmoothingKernel, grid: Grid, hac: HacConf
     """Raise ArithmeticError unless the one-panel path gives panel the block
     pass's values: through run_test with by_test (psi_hat, the rejected pairs
     and whether a rejection lies under mask), else through build_normalizers
-    and compute_stat_table (pair_max, bit for bit)."""
+    and compute_stat_table (pair_max bit for bit, and the hit under mask)."""
     if not by_test:
-        normalizers = build_normalizers(panel, kernel, hac)
-        got = compute_stat_table(panel, kernel, grid, normalizers).pair_max.tobytes()
-        want = pair_max.tobytes()
+        table = compute_stat_table(panel, kernel, grid, build_normalizers(panel, kernel, hac))
+        got = (table.pair_max.tobytes(), mask is not None
+               and bool(((table.s_hat - table.lam > crit.q) & mask).any()))
+        want = (pair_max.tobytes(), bool(hit))
     else:
         result = run_test(panel, kernel, grid, hac, crit.alpha, crit)
         pair_of = {pair: p for p, pair in enumerate(unit_pairs(panel.n_units))}
@@ -536,7 +536,7 @@ def run_size_experiment(
     if len(set(spec.curves)) != 1:
         raise ValueError("size experiment requires all units to share one curve")
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers, "run_test", "unit_pairs")
+                                     crit_seed, n_workers)
     outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers,
                           lambda pair_max, _: list(pair_max.max(axis=1) > crit.q))
     rate = float(np.mean(outcomes))
@@ -569,7 +569,7 @@ def run_power_experiment(
     multiplied by each scale. Also tracks how often the rejection list names a
     truly heterogeneous pair."""
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers, "run_test", "unit_pairs")
+                                     crit_seed, n_workers)
     pairs = unit_pairs(spec.n_units)
     power_curve = []
     for scale in scales:
@@ -613,7 +613,7 @@ def run_fwer_experiment(
     """Fraction of replications with at least one rejection of a TRUE local
     null, membership decided analytically from the curves."""
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha,
-                                     crit_seed, n_workers, "run_test", "unit_pairs")
+                                     crit_seed, n_workers)
     pairs = unit_pairs(spec.n_units)
     m0 = GroundTruth(curves=spec.curves).m0_mask(grid, pairs)
     outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers,
@@ -641,8 +641,8 @@ def run_cluster_experiment(
     if spec.group_assignment is None:
         raise ValueError("cluster experiment requires group_assignment ground truth")
     start, grid, crit, held = _setup(spec, R, grid, kernel, hac, B, alpha, crit_seed,
-                                     n_workers, "build_normalizers", "compute_stat_table",
-                                     "_dissimilarity", "hac_cluster", "select_k")
+                                     n_workers)
+    _bind_deferred("_dissimilarity", "hac_cluster", "select_k")
     target = _partition(spec.group_assignment)
     i_idx, j_idx = np.triu_indices(spec.n_units, k=1)  # unit_pairs order
 

@@ -385,8 +385,9 @@ def test_pair_stats_bit_equal_to_scalar_oracle(D, broadcast):
     # one gridpoint, an odd count and magnitudes from 1e-3 to 1e3 per sum
     for G in (1, 2, 37):
         a = rng.standard_normal((N, D, G)) * 10.0 ** rng.integers(-3, 4, (N, D, 1))
+        blocks = multiscale._pair_blocks(a, normalizers, *multiscale._pair_index(N))
         np.testing.assert_array_equal(
-            multiscale._pair_stats(a, normalizers, *multiscale._pair_index(N)),
+            np.concatenate([s for _, s in blocks]),
             oracles.naive_pair_stats(a, normalizers),
         )
 
@@ -395,7 +396,7 @@ def test_pair_stats_bit_equal_to_scalar_oracle(D, broadcast):
 def test_stat_table_blocks_bit_equal_to_one_block(monkeypatch, pairs_per_block):
     panel, grid, normalizers = table_case(6, 3, seed=9)  # 15 pairs
     one_block = compute_stat_table(panel, KERN, grid, normalizers).s_hat
-    # _pair_stats budgets 2 * D * G floats a pair
+    # _pair_blocks budgets 2 * D * G floats a pair
     pair_bytes = 16 * panel.n_covariates * grid.n_points
     assert len(normalizers) * pair_bytes <= kernels._BLOCK_BYTES
     # 4 pairs per block leaves a short last block of 3

@@ -32,7 +32,7 @@ from panelscale import (
     unit_pairs,
 )
 from panelscale import kernels, simulate
-from panelscale.multiscale import build_normalizers, compute_stat_table
+from panelscale.multiscale import _stack_pair_max, build_normalizers, compute_stat_table
 
 # Each configuration's panels go through _stack_pair_max as one stack and
 # one at a time through the public path, with q the median of their psi:
@@ -254,3 +254,81 @@ def test_cross_check_mismatch_raises(monkeypatch, experiment):
     monkeypatch.setattr(simulate, "_stack_pair_max", corrupted)
     with pytest.raises(ArithmeticError, match="one-panel path disagree"):
         EXPERIMENTS[experiment](build_grid_custom(100, 10, [0.22, 0.25]), B=120, R=3)
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_cross_check_catches_one_ulp_in_pair_max(monkeypatch, experiment):
+    # one ulp on the first panel's largest pair maximum, its hit kept, is a
+    # disagreement with the one-panel path
+    real = simulate._stack_pair_max
+    first = []
+
+    def corrupted(*args, **kwargs):
+        pair_max, hits = real(*args, **kwargs)
+        if not first:
+            first.append(True)
+            p = np.argmax(pair_max[0])
+            pair_max[0, p] = np.nextafter(pair_max[0, p], np.inf)
+        return pair_max, hits
+
+    monkeypatch.setattr(simulate, "_stack_pair_max", corrupted)
+    with pytest.raises(ArithmeticError, match="one-panel path disagree"):
+        EXPERIMENTS[experiment](build_grid_custom(100, 10, [0.22, 0.25]), B=120, R=3)
+
+
+def test_stack_pass_peak_below_half_a_panels_statistics():
+    # each row block is reduced as it is made, so the pass never holds the
+    # panel's (P, G) statistics (6.95 MiB at (50, 500, 3))
+    N, T, D = 50, 500, 3
+    hac, kernel = panelscale.HacConfig(), panelscale.SmoothingKernel()
+    grid = panelscale.build_grid_application(T)
+    # a run holds its grid and pilot kernel weights; build them outside the trace
+    us, hs, _ = kernels._pilot_points(T, hac.pilot_bandwidth)
+    held = (kernels._shared_weights(kernel, T, grid.u, grid.h),
+            kernels._shared_weights(kernel, T, us, hs))
+    ((_, stack),) = simulate._panel_blocks(homogeneous_spec(N, T, D, seed=1), [1])
+    x, y = stack(slice(0, 1))
+    mask = np.ones((N * (N - 1) // 2, grid.n_points), dtype=bool)
+    _stack_pair_max(x, y, kernel, grid, hac, mask, 3.0)  # caches the pair index
+    tracemalloc.start()
+    try:
+        _stack_pair_max(x, y, kernel, grid, hac, mask, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    s_bytes = mask.size * 8
+    assert s_bytes > 6 << 20
+    assert peak < s_bytes / 2, (peak, s_bytes, len(held))
+
+
+@pytest.mark.parametrize("one_point", [False, True], ids=["grid", "one-point"])
+def test_row_blocks_straddling_panels_keep_pair_max_and_hits(monkeypatch, one_point):
+    # blocks of 3 pairs over 4 panels of 10 pairs each: most blocks hold the
+    # end of one panel and the start of the next
+    N, T, D, R = 5, 100, 2, 4
+    grid = (panelscale.Grid(points=((0.5, 0.25),), T=T, h_min=0.25, h_max=0.25)
+            if one_point else build_grid_custom(T, 10, [0.22, 0.25]))
+    hac, kernel = panelscale.HacConfig(), panelscale.SmoothingKernel()
+    spec = homogeneous_spec(N, T, D, seed=12)
+    ((n, stack),) = simulate._panel_blocks(spec, [12 * 100 + r for r in range(R)])
+    x, y = stack(slice(0, n))
+    panels = [panelscale.Panel(y=y[b], x=x[b], unit_labels=simulate._unit_labels(N))
+              for b in range(R)]
+    tables = [compute_stat_table(p, kernel, grid, build_normalizers(p, kernel, hac))
+              for p in panels]
+    # a mask on the last pair of each panel, and q the median of that pair's
+    # maxima: some panels hit and some do not
+    P = N * (N - 1) // 2
+    mask = np.zeros((P, grid.n_points), dtype=bool)
+    mask[P - 1] = True
+    q = float(np.median([t.pair_max[P - 1] for t in tables]))
+    width = max(2, grid.n_points)  # _pair_blocks pads one gridpoint to two
+    monkeypatch.setattr(kernels, "_BLOCK_BYTES", 3 * 8 * 2 * D * width)
+    assert next(kernels._row_blocks(R * P, 2 * D * width)) == slice(0, 3)
+    pair_max, hits = _stack_pair_max(x, y, kernel, grid, hac, mask, q)
+    for b, table in enumerate(tables):
+        assert pair_max[b].tobytes() == table.pair_max.tobytes(), b
+        assert hits[b] == ((table.s_hat - table.lam > q) & mask).any(), b
+    assert 0 < hits.sum() < R, hits
+    # without a mask no panel hits
+    assert not _stack_pair_max(x, y, kernel, grid, hac)[1].any()

@@ -43,11 +43,29 @@ def test_bump_shape():
     np.testing.assert_allclose(vals[7:], 0.0)
 
 
-@pytest.mark.parametrize("field", ["center", "width", "height"])
+# Bump's cases keep the bare field as their id
+CURVE_FIELDS = [
+    (Bump, "center"), (Bump, "width"), (Bump, "height"), (Constant, "level"),
+    (Linear, "intercept"), (Linear, "slope"), (Sine, "amplitude"),
+    (Sine, "cycles"), (Sine, "phase"), (Sine, "level"),
+]
+
+
+@pytest.mark.parametrize(
+    "curve, field", CURVE_FIELDS,
+    ids=[f if c is Bump else f"{c.__name__.lower()}-{f}" for c, f in CURVE_FIELDS],
+)
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_bump_refuses_non_finite_fields(field, value):
-    with pytest.raises(ValueError, match=f"bump {field} .* must be finite"):
-        Bump(**{field: value})
+def test_bump_refuses_non_finite_fields(curve, field, value):
+    kind = curve.__name__.lower()
+    with pytest.raises(ValueError, match=f"{kind} {field} .* must be finite"):
+        curve(**{field: value})
+
+
+@pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"), -1.0])
+def test_dgp_refuses_non_finite_or_negative_noise(noise_sd):
+    with pytest.raises(ValueError, match="^noise_sd .* must be finite and nonnegative$"):
+        homogeneous_spec(3, 100, 2, seed=1, noise_sd=noise_sd)
 
 
 def test_bump_is_lipschitz():
