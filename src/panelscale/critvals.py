@@ -162,6 +162,8 @@ def critical_value(
     draws = np.asarray(draws, dtype=float)
     if draws.ndim != 1 or draws.size == 0:
         raise ValueError("draws must be a nonempty vector")
+    if not np.isfinite(draws).all():
+        raise ValueError("draws must be finite")
     B = draws.size
     _check_quantile(alpha, B)
     # guard against float fuzz when (1-alpha)*B is mathematically an integer
@@ -252,7 +254,8 @@ def save_draws(path, key: bytes, draws: np.ndarray) -> None:
 
 def load_draws(path, key: bytes) -> np.ndarray | None:
     """Return cached draws when the file exists, its key equals `key` byte
-    for byte and it holds every draw its header counts, else None."""
+    for byte and it holds every draw its header counts, each finite, else
+    None."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -265,4 +268,5 @@ def load_draws(path, key: bytes) -> np.ndarray | None:
     (size,) = struct.unpack("<Q", blob[head - 8 : head])
     if len(blob) - head != 8 * size:
         return None
-    return np.frombuffer(blob, dtype="<f8", offset=head).copy()
+    draws = np.frombuffer(blob, dtype="<f8", offset=head)
+    return draws.copy() if np.isfinite(draws).all() else None

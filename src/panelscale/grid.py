@@ -7,6 +7,7 @@ U = {5t/T} and H = {(5t-3)/T} intersected with [T^(-1/3), 1/4].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ H_MAX_CAP = 0.25
 
 
 def _lattice_index(value: float, T: int, what: str) -> int:
+    if not math.isfinite(value):
+        raise GridError(f"{what}={value} must be finite")
     scaled = value * T
     idx = int(round(scaled))
     if abs(scaled - idx) > _LATTICE_TOL:

@@ -14,8 +14,8 @@ A Monte Carlo replication needs only each pair's maximum: _stack_pair_max
 takes a stack of panels through the same stages, one call a stage for all of
 them, and keeps of each block only those maxima (and masked exceedances).
 Each panel's maxima have the bits run_test and compute_stat_table give it
-alone, and the Monte Carlo harness checks that on the first panel of every
-run, raising ArithmeticError if they differ.
+alone, and the Monte Carlo harness checks them against TestResult.pair_max
+on the first panel of every run, raising ArithmeticError if they differ.
 """
 
 from __future__ import annotations
@@ -129,6 +129,10 @@ class Rejection:
 
 @dataclass(frozen=True, eq=False)
 class TestResult:
+    """The test's decisions on one panel. pair_max holds each pair's max over
+    gridpoints of S - lambda, in unit_pairs order: the maxima psi_hat and the
+    dissimilarities read (None only in a result built by its caller)."""
+
     psi_hat: float
     q_alpha: float
     alpha: float
@@ -136,6 +140,7 @@ class TestResult:
     rejections: tuple[Rejection, ...]
     minimal_rejections: tuple[Rejection, ...] | None = None
     fallback_points: tuple[int, ...] = ()
+    pair_max: np.ndarray | None = None
 
 
 def build_normalizers(
@@ -238,8 +243,8 @@ def _stack_pair_max(
     pairs, each row block reduced as _pair_blocks yields it. No grid design
     M, solve_mask, table, rejection or TestResult is made. Each panel's
     maxima have the bits that build_normalizers and compute_stat_table (so
-    run_test) give it alone; the Monte Carlo harness checks that on the first
-    panel of every run and raises ArithmeticError if they differ. The
+    run_test) give it alone; the Monte Carlo harness checks them against
+    run_test's on the first panel of every run, raising ArithmeticError. The
     statistics must be finite and nonnegative, as a table's must.
     """
     (R, N, T), D, G = y.shape, x.shape[-1], grid.n_points
@@ -380,4 +385,5 @@ def run_test(
         rejections=rejections,
         minimal_rejections=prune_minimal(rejections) if keep_minimal else None,
         fallback_points=table.fallback_points,
+        pair_max=table.pair_max,  # read-only and owns its P floats: no copy
     )

@@ -31,8 +31,8 @@ from .kernels import (
 # config loads only kernels, and generating a panel adds panel
 __getattr__, _bind_deferred = _deferred(globals(), (
     "Panel", "ordered_map", "_dissimilarity", "hac_cluster", "select_k",
-    "gaussian_critical_value", "build_grid_application", "build_normalizers",
-    "compute_stat_table", "run_test", "unit_pairs", "_stack_pair_max",
+    "gaussian_critical_value", "build_grid_application", "run_test", "unit_pairs",
+    "_stack_pair_max",
 ))
 
 
@@ -403,7 +403,7 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
     start = time.perf_counter()
     _bind_deferred("Panel", "ordered_map", "gaussian_critical_value",
                    "build_grid_application", "_stack_pair_max", "run_test",
-                   "unit_pairs", "build_normalizers", "compute_stat_table")
+                   "unit_pairs")
     if R < 1:
         raise ValueError(f"R={R} replications; need R >= 1")
     if not spec.noise_sd > 0.0:  # no long-run covariance to normalise by
@@ -424,7 +424,7 @@ def _setup(spec: DgpSpec, R: int, grid: Grid | None, kernel: SmoothingKernel,
 
 def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
                hac: HacConfig, crit: CriticalValue, n_workers: int, outcome,
-               mask: np.ndarray | None = None, by_test: bool = True) -> list:
+               mask: np.ndarray | None = None) -> list:
     """outcome(pair_max, hits) of R panels drawn from spec, in replication
     order: pair_max (k, n_pairs) holds LocalStatTable.pair_max of k panels and
     hits (k,) whether a cell under mask (n_pairs, G) has S - lambda > q (all
@@ -436,11 +436,9 @@ def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
     n_workers threads only where that raises no peak RSS
     (_replication_workers).
 
-    The first replication also runs through the public one-panel path, and
-    the run raises ArithmeticError unless that gives the block's values: with
-    by_test, run_test's psi_hat (bit for bit), rejected pairs and rejections
-    under mask; else build_normalizers and compute_stat_table's pair_max (bit
-    for bit) and hit.
+    The first replication also runs through run_test, and the run raises
+    ArithmeticError unless that gives the block's values: its pair_max bit
+    for bit and whether a rejection lies under mask.
     """
     N, T, D, G = spec.n_units, spec.n_time, spec.n_covariates, grid.n_points
     # floats a replication's pass may hold: its panel, the pilot fit and HAC's
@@ -463,8 +461,7 @@ def _replicate(spec: DgpSpec, R: int, grid: Grid, kernel: SmoothingKernel,
         if not outcomes:
             x, y = stack(slice(0, 1))
             panel = Panel(y=y[0], x=x[0], unit_labels=_unit_labels(N))
-            _cross_check(panel, kernel, grid, hac, crit, mask, pair_max[0], hits[0],
-                         by_test)
+            _cross_check(panel, kernel, grid, hac, crit, mask, pair_max[0], hits[0])
         outcomes += outcome(pair_max, hits)
     return outcomes
 
@@ -482,27 +479,17 @@ def _replication_workers(n_workers: int, G: int, T: int, floats: int) -> int:
 
 
 def _cross_check(panel: Panel, kernel: SmoothingKernel, grid: Grid, hac: HacConfig,
-                 crit: CriticalValue, mask, pair_max: np.ndarray, hit,
-                 by_test: bool) -> None:
-    """Raise ArithmeticError unless the one-panel path gives panel the block
-    pass's values: through run_test with by_test (psi_hat, the rejected pairs
-    and whether a rejection lies under mask), else through build_normalizers
-    and compute_stat_table (pair_max bit for bit, and the hit under mask)."""
-    if not by_test:
-        table = compute_stat_table(panel, kernel, grid, build_normalizers(panel, kernel, hac))
-        got = (table.pair_max.tobytes(), mask is not None
-               and bool(((table.s_hat - table.lam > crit.q) & mask).any()))
-        want = (pair_max.tobytes(), bool(hit))
-    else:
-        result = run_test(panel, kernel, grid, hac, crit.alpha, crit)
+                 crit: CriticalValue, mask, pair_max: np.ndarray, hit) -> None:
+    """Raise ArithmeticError unless run_test gives panel the block pass's
+    values: its pair_max bit for bit (so psi_hat and the rejected pairs) and
+    whether a rejection lies under mask."""
+    result = run_test(panel, kernel, grid, hac, crit.alpha, crit)
+    hot = False
+    if mask is not None:
         pair_of = {pair: p for p, pair in enumerate(unit_pairs(panel.n_units))}
         point_of = {point: g for g, point in enumerate(grid.points)}
-        cells = [(pair_of[r.i, r.j], point_of[r.u, r.h]) for r in result.rejections]
-        got = (result.psi_hat, {p for p, _ in cells},
-               mask is not None and any(mask[c] for c in cells))
-        want = (float(pair_max.max()), set(np.nonzero(pair_max > crit.q)[0].tolist()),
-                bool(hit))
-    if got != want:
+        hot = any(mask[pair_of[r.i, r.j], point_of[r.u, r.h]] for r in result.rejections)
+    if (result.pair_max.tobytes(), hot) != (pair_max.tobytes(), bool(hit)):
         raise ArithmeticError(
             "the stacked replication pass and the one-panel path disagree on the "
             "first replication"
@@ -654,8 +641,7 @@ def run_cluster_experiment(
             recovered.append(_partition(result.membership) == target)
         return recovered
 
-    outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers, outcome,
-                          by_test=False)
+    outcomes = _replicate(spec, R, grid, kernel, hac, crit, n_workers, outcome)
     rate = float(np.mean(outcomes))
     return _report(
         "cluster", spec, R, alpha, B, start, crit,

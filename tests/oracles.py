@@ -123,6 +123,20 @@ def naive_hac(v, kind: str, chi: float) -> np.ndarray:
     return sigma * T / (T - D)
 
 
+def oracle_lrv(D: int, ar_coef: float, cov_ar_coef: float, noise_sd: float) -> np.ndarray:
+    """Long-run covariance of v_t = X_t eps_t for the intercept-plus-AR(1)
+    covariates (stationary sd 1, coefficient cov_ar_coef) and independent
+    AR(1) errors (innovation sd noise_sd, coefficient ar_coef). Lag k
+    multiplies the error's autocovariance sigma^2 a^k by the covariate's, 1
+    for the intercept and rho^k for an AR(1) column, and the columns are
+    independent: diag(sigma^2 (1 + a)/(1 - a), sigma^2 (1 + a rho)/(1 - a rho), ...)
+    with sigma^2 = noise_sd^2 / (1 - a^2)."""
+    a, rho = ar_coef, cov_ar_coef
+    sigma2 = noise_sd**2 / (1.0 - a * a)
+    covariate = sigma2 * (1 + a * rho) / (1 - a * rho)
+    return np.diag([sigma2 * (1 + a) / (1 - a)] + [covariate] * (D - 1))
+
+
 def naive_residual_rows(x, y, kind, unit, h_pilot):
     """Two-step oracle: estimate at each clamped t/T, subtract, multiply."""
     x = np.asarray(x, dtype=float)

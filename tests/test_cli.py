@@ -272,9 +272,13 @@ def test_crit_cache_naming_no_file_refused_before_any_draw(
         ),
         (["test", "--h", "0.2,abc"], "--h applies only with --grid custom"),
         (["cluster", "--u-step", "3"], "--u-step applies only with --grid custom"),
+        (["test", "--grid", "custom", "--u-step", "5", "--h", "inf"], "h=inf must be finite"),
+        (["cluster", "--grid", "custom", "--u-step", "5", "--h", "nan"],
+         "h=nan must be finite"),
     ],
     ids=["pilot-h-above-half", "hac-bandwidth-below-1", "seed-above-int64", "B-above-int64",
-         "h-not-a-number", "h-empty", "h-without-custom-grid", "u-step-without-custom-grid"],
+         "h-not-a-number", "h-empty", "h-without-custom-grid", "u-step-without-custom-grid",
+         "h-inf", "h-nan"],
 )
 def test_bad_hac_or_draw_flags_exit_2_before_any_draw_or_cache_read(
     tmp_path, monkeypatch, capsys, argv, message

@@ -244,6 +244,14 @@ def test_critical_value_integer_boundary_not_fuzzed():
     assert cv.q == 1899.0  # 1900th smallest, 1-based
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_critical_value_refuses_non_finite_draws(bad):
+    draws = np.arange(100, dtype=float)
+    draws[7] = bad
+    with pytest.raises(ValueError, match="draws must be finite"):
+        critical_value(draws, alpha=0.05)
+
+
 def test_critical_value_requires_enough_draws():
     with pytest.raises(QuantileError):
         critical_value(np.arange(10, dtype=float), alpha=0.05)
@@ -417,6 +425,23 @@ def test_truncated_cache_is_a_miss(tmp_path):
                  len(blob) - 8, len(blob) - 3):
         path.write_bytes(blob[:size])
         assert load_draws(path, key) is None, size
+
+
+def test_non_finite_cache_is_a_miss(tmp_path):
+    # a whole cache whose draws are not all finite is simulated again and
+    # replaced, as a truncated one is: it never becomes a critical value
+    grid = single_point_grid()
+    key = draws_cache_key(100, 2, 1, grid, KERN, 150, 3)
+    path = tmp_path / "draws.bin"
+    clean = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
+    blob = path.read_bytes()
+    head = len(blob) - 8 * 150
+    for bad in (np.full(150, np.nan), np.r_[clean.phi_draws[:-1], np.inf]):
+        path.write_bytes(blob[:head] + bad.tobytes())
+        assert load_draws(path, key) is None
+        cv = gaussian_critical_value(100, 2, 1, grid, KERN, 150, 3, 0.05, cache_path=path)
+        assert cv.q == clean.q
+        assert path.read_bytes() == blob
 
 
 def test_cache_of_version_2_recomputed(tmp_path):

@@ -95,6 +95,18 @@ def test_custom_grid_bounds_enforced():
         build_grid_custom(100, 10, [0.2401])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_grid_values_refused_by_name(value):
+    # a GridError naming the value, not the OverflowError or ValueError of
+    # rounding it onto the 1/T lattice
+    with pytest.raises(GridError, match=rf"^h={value} must be finite$"):
+        build_grid_custom(300, 5, [value])
+    with pytest.raises(GridError, match=rf"^u={value} must be finite$"):
+        Grid(points=((value, 0.1),), T=300, h_min=0.1, h_max=0.1)
+    with pytest.raises(GridError, match=rf"^h={value} must be finite$"):
+        Grid(points=((0.5, value),), T=300, h_min=0.1, h_max=0.1)
+
+
 def test_grid_invariants_on_random_T():
     rng = np.random.default_rng(7)
     for T in rng.integers(64, 800, size=12):

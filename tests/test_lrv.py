@@ -22,7 +22,7 @@ from panelscale import (
     pair_normalizer,
     residual_series,
 )
-from panelscale import lrv
+from panelscale import lrv, simulate
 from panelscale.kernels import default_hac_bandwidth
 from panelscale.lrv import (
     _checked_min_eigs,
@@ -108,6 +108,23 @@ def test_hac_ar1_approaches_population_lrv():
         estimates.append(hac_estimate(eps[:, None], cfg).sigma[0, 0])
     truth = 1.0 / (1.0 - phi) ** 2
     assert abs(np.mean(estimates) - truth) / truth < 0.15
+
+
+def test_hac_of_generated_moments_matches_oracle_lrv():
+    # v_t = X_t eps_t of generated null panels: one unit a panel, so the 800
+    # estimates are independent, and the Bartlett chi = 60 mean must lie
+    # within 4 standard errors of the closed-form long-run covariance
+    spec = homogeneous_spec(1, 2000, 2, seed=0)
+    cfg = HacConfig(cov_kernel="bartlett", bandwidth=60.0)
+    sigmas = []
+    # generate_panel's panels for seeds 0..799, a block of them at a time
+    for n, stack in simulate._panel_blocks(spec, list(range(800))):
+        x, y = stack(slice(0, n))
+        sigmas += [hac_estimate(xb * yb[0, :, None], cfg).sigma for xb, yb in zip(x, y)]
+    sigmas = np.array(sigmas)
+    se = sigmas.std(axis=0, ddof=1) / np.sqrt(len(sigmas))
+    truth = oracles.oracle_lrv(2, spec.ar_coef, spec.cov_ar_coef, spec.noise_sd)
+    np.testing.assert_array_less(np.abs(sigmas.mean(axis=0) - truth), 4 * se)
 
 
 def test_hac_bartlett_psd_property():

@@ -223,6 +223,31 @@ def test_run_test_result_invariants():
     assert ex == sorted(ex, reverse=True)
 
 
+def test_run_test_reports_each_pair_max(monkeypatch):
+    # the table's maxima, in unit_pairs order, with no copy: psi_hat and the
+    # rejected pairs read them
+    rng = np.random.default_rng(9)
+    panel = random_panel(rng, N=4, T=64, D=2)
+    grid = build_grid_custom(64, 8, [0.25])
+    q = float(np.median(run_micro_test(panel, q=0.0, grid=grid).pair_max))
+    tables = []
+    real = multiscale.compute_stat_table
+    monkeypatch.setattr(multiscale, "compute_stat_table",
+                        lambda *args: tables.append(real(*args)) or tables[-1])
+    res = run_micro_test(panel, q=q, grid=grid)
+    (table,) = tables
+    pairs = unit_pairs(4)
+    assert res.pair_max is table.pair_max and not res.pair_max.flags.writeable
+    assert res.pair_max.shape == (len(pairs),)
+    assert res.psi_hat == res.pair_max.max()
+    rejected = {pairs[p] for p in np.nonzero(res.pair_max > res.q_alpha)[0]}
+    assert 0 < len(rejected) < len(pairs)
+    assert {(r.i, r.j) for r in res.rejections} == rejected
+    # a result built by its caller has none
+    assert multiscale.TestResult(psi_hat=0.0, q_alpha=1.0, alpha=0.05,
+                                 reject_global=False, rejections=()).pair_max is None
+
+
 def test_grid_for_another_T_rejected():
     rng = np.random.default_rng(5)
     panel = random_panel(rng, N=2, T=200, D=1)

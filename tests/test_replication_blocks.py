@@ -276,6 +276,26 @@ def test_cross_check_catches_one_ulp_in_pair_max(monkeypatch, experiment):
         EXPERIMENTS[experiment](build_grid_custom(100, 10, [0.22, 0.25]), B=120, R=3)
 
 
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_cross_check_catches_one_ulp_on_smallest_pair_max(monkeypatch, experiment):
+    # one ulp down on the first panel's smallest pair maximum moves neither
+    # psi_hat nor the rejected pairs, but every pair's maximum is checked
+    real = simulate._stack_pair_max
+    first = []
+
+    def corrupted(*args, **kwargs):
+        pair_max, hits = real(*args, **kwargs)
+        if not first:
+            first.append(True)
+            p = np.argmin(pair_max[0])
+            pair_max[0, p] = np.nextafter(pair_max[0, p], -np.inf)
+        return pair_max, hits
+
+    monkeypatch.setattr(simulate, "_stack_pair_max", corrupted)
+    with pytest.raises(ArithmeticError, match="one-panel path disagree"):
+        EXPERIMENTS[experiment](build_grid_custom(100, 10, [0.22, 0.25]), B=120, R=3)
+
+
 def test_stack_pass_peak_below_half_a_panels_statistics():
     # each row block is reduced as it is made, so the pass never holds the
     # panel's (P, G) statistics (6.95 MiB at (50, 500, 3))
